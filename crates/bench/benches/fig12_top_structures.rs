@@ -14,7 +14,7 @@ fn main() {
 
     println!("{:<6} {:>8} {:>7} {:>7} {:>6}  structure", "rank", "freq", "nodes", "edges", "path?");
     let mut simple = 0;
-    for (rank, (tid, _)) in ranked.iter().take(10).enumerate() {
+    for (rank, tid) in ranked.iter().take(10).enumerate() {
         let meta = env.catalog.meta(*tid);
         let is_path = meta.path_sig.is_some();
         if is_path {

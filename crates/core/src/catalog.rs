@@ -157,6 +157,14 @@ pub struct Catalog {
     pub lefttops: Table,
     /// ExcpTops(E1, E2, TID) — exception pairs for pruned topologies.
     pub excptops: Table,
+    /// TopInfo in score order, one vector per [`RankScheme`]: every
+    /// topology id, grouped by espair (ascending) and, within an espair,
+    /// by descending score with ties broken by id. Rebuilt whenever the
+    /// scores change ([`Catalog::rank`]).
+    ranking: [Vec<TopologyId>; 3],
+    /// Each espair's run in the `ranking` vectors: `(espair, start)`,
+    /// sorted by espair; a run ends where the next one starts.
+    rank_runs: Vec<(EsPair, u32)>,
     finalized: bool,
 }
 
@@ -191,6 +199,8 @@ impl Catalog {
             alltops: Table::new(tops_schema("AllTops")),
             lefttops: Table::new(tops_schema("LeftTops")),
             excptops: Table::new(tops_schema("ExcpTops")),
+            ranking: [Vec::new(), Vec::new(), Vec::new()],
+            rank_runs: Vec::new(),
             finalized: false,
         }
     }
@@ -386,9 +396,9 @@ impl Catalog {
 
     /// Approximate heap footprint of the whole catalog in bytes: CSR
     /// pair store, topology metadata (structure graphs, codes,
-    /// signatures), interners, and the three materialized tables (rows
-    /// plus index postings). This is the figure the offline-build bench
-    /// records alongside build time.
+    /// signatures), interners, the score-ordered TopInfo, and the three
+    /// materialized tables (rows plus index postings). This is the
+    /// figure the offline-build bench records alongside build time.
     pub fn heap_size(&self) -> usize {
         use std::mem::size_of;
         let metas: usize = self
@@ -405,9 +415,12 @@ impl Catalog {
         let interners: usize =
             self.sigs.iter().map(|s| s.0.len() * size_of::<u16>()).sum::<usize>()
                 + self.codes.iter().map(|c| c.0.len() * size_of::<u32>()).sum::<usize>();
+        let ranking = self.ranking.iter().map(|r| r.len() * size_of::<TopologyId>()).sum::<usize>()
+            + self.rank_runs.len() * size_of::<(EsPair, u32)>();
         self.pair_bytes()
             + metas
             + interners
+            + ranking
             + self.alltops.heap_size()
             + self.lefttops.heap_size()
             + self.excptops.heap_size()
@@ -483,6 +496,7 @@ impl Catalog {
         self.lefttops = self.alltops.clone_renamed("LeftTops");
         self.excptops.create_index_bulk(0);
         self.excptops.analyze();
+        self.rank();
     }
 
     /// All topology metadata.
@@ -523,18 +537,41 @@ impl Catalog {
         f
     }
 
-    /// Topologies of an entity-set pair ranked by a scheme, descending
+    /// Topology ids of an entity-set pair ranked by a scheme, descending
     /// score (ties broken by id for determinism) — the TopInfo-by-score
-    /// stream consumed by top-k plans.
-    pub fn ranked(&self, scheme: RankScheme, espair: EsPair) -> Vec<(TopologyId, f64)> {
-        let mut v: Vec<(TopologyId, f64)> = self
-            .metas
-            .iter()
-            .filter(|m| m.espair == espair)
-            .map(|m| (m.id, m.scores[scheme.index()]))
-            .collect();
-        v.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        v
+    /// stream consumed by top-k plans, borrowed from the catalog.
+    pub fn ranked(&self, scheme: RankScheme, espair: EsPair) -> &[TopologyId] {
+        let ranking = &self.ranking[scheme.index()];
+        let Ok(i) = self.rank_runs.binary_search_by_key(&espair, |&(p, _)| p) else {
+            return &[];
+        };
+        let end = self.rank_runs.get(i + 1).map_or(ranking.len(), |&(_, start)| start as usize);
+        &ranking[self.rank_runs[i].1 as usize..end]
+    }
+
+    /// Rebuild the score-ordered TopInfo behind [`Catalog::ranked`] from
+    /// the current scores. Runs at [`Catalog::finalize`] and again after
+    /// [`crate::score::score_catalog`].
+    pub(crate) fn rank(&mut self) {
+        // Sort contiguous (espair, score, id) keys rather than ids that
+        // point back into the much larger metadata records.
+        let mut keyed: Vec<(EsPair, f64, TopologyId)> = Vec::with_capacity(self.metas.len());
+        for scheme in RankScheme::all() {
+            let s = scheme.index();
+            keyed.clear();
+            keyed.extend(self.metas.iter().map(|m| (m.espair, m.scores[s], m.id)));
+            keyed.sort_unstable_by(|a, b| {
+                a.0.cmp(&b.0).then_with(|| b.1.total_cmp(&a.1)).then_with(|| a.2.cmp(&b.2))
+            });
+            self.ranking[s] = keyed.iter().map(|&(_, _, id)| id).collect();
+        }
+        self.rank_runs.clear();
+        for (i, &tid) in self.ranking[0].iter().enumerate() {
+            let espair = self.metas[tid as usize].espair;
+            if self.rank_runs.last().is_none_or(|&(p, _)| p != espair) {
+                self.rank_runs.push((espair, cast::to_u32(i)));
+            }
+        }
     }
 
     /// True if `(e1, e2, tid)` is in the exception table.

@@ -80,27 +80,6 @@ pub fn entity_satisfies(
     }
 }
 
-/// Shift every column reference in a predicate by `offset` — used when a
-/// predicate written against a base table must run against join output
-/// rows where that table's columns start at `offset`.
-pub fn shift_predicate(p: &Predicate, offset: usize) -> Predicate {
-    match p {
-        Predicate::True => Predicate::True,
-        Predicate::False => Predicate::False,
-        Predicate::Eq(c, v) => Predicate::Eq(c + offset, v.clone()),
-        Predicate::Contains(c, kw) => Predicate::Contains(c + offset, kw.clone()),
-        Predicate::And(a, b) => Predicate::And(
-            Box::new(shift_predicate(a, offset)),
-            Box::new(shift_predicate(b, offset)),
-        ),
-        Predicate::Or(a, b) => Predicate::Or(
-            Box::new(shift_predicate(a, offset)),
-            Box::new(shift_predicate(b, offset)),
-        ),
-        Predicate::Not(a) => Predicate::Not(Box::new(shift_predicate(a, offset))),
-    }
-}
-
 /// Decode a path signature into `(types, rels)` oriented so that
 /// `types[0] == start_type`, if possible.
 pub fn decode_sig(sig: &PathSig, start_type: u16) -> Option<(Vec<u16>, Vec<u16>)> {
@@ -143,11 +122,18 @@ pub fn online_path_check(
         return false;
     };
     let g = ctx.graph;
+    // Label-constrained DFS: position i must have type types[i]. `path`
+    // holds the current path, indexed by depth: an entry popped at depth
+    // `pos` was pushed by `path[pos - 1]`, and everything popped since
+    // sat at depth `pos` or deeper, so `path[..pos]` are its ancestors.
+    let mut stack: Vec<(u32, usize)> = Vec::new();
+    let mut path: Vec<u32> = Vec::with_capacity(rels.len() + 1);
     for &a in a_ids {
         let Some(start) = g.node(meta.espair.from, a) else { continue };
-        // Label-constrained DFS: position i must have type types[i].
-        let mut stack: Vec<(u32, usize, Vec<u32>)> = vec![(start, 0, vec![start])];
-        while let Some((node, pos, path)) = stack.pop() {
+        stack.push((start, 0));
+        while let Some((node, pos)) = stack.pop() {
+            path.truncate(pos);
+            path.push(node);
             if pos == rels.len() {
                 let b = g.node_entity(node);
                 if b_ids.contains(&b) {
@@ -166,9 +152,7 @@ pub fn online_path_check(
                 if path.contains(&next) {
                     continue; // simple paths only
                 }
-                let mut p2 = path.clone();
-                p2.push(next);
-                stack.push((next, pos + 1, p2));
+                stack.push((next, pos + 1));
             }
         }
     }
@@ -178,19 +162,6 @@ pub fn online_path_check(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn shift_predicate_moves_columns() {
-        let p = Predicate::eq(1, "mRNA").and(Predicate::contains(0, "enzyme"));
-        let s = shift_predicate(&p, 4);
-        match s {
-            Predicate::And(a, b) => {
-                assert_eq!(*a, Predicate::eq(5, "mRNA"));
-                assert_eq!(*b, Predicate::contains(4, "enzyme"));
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-    }
 
     #[test]
     fn decode_sig_orients_both_ways() {

@@ -7,16 +7,21 @@
 //! survives all joins and predicates, the topology provably exists for
 //! the query — the driver records it and skips the rest of its group;
 //! after k distinct topologies, evaluation stops entirely.
+//!
+//! The IDGJ plan (Fig. 15 (a)) runs as one semi-join operator,
+//! [`SemiDgj`], which reads TopInfo straight from the catalog's stored
+//! score order and stops each topology at its first witness row.
 
 use std::time::Instant;
 
 use ts_exec::{
-    collect_distinct_topk_budgeted, BoxedOp, Filter, Hdgj, Idgj, TableScan, ValuesScan, Work,
+    collect_distinct_topk_budgeted, BoxedOp, Endpoint, Hdgj, Idgj, SemiDgj, TableScan, ValuesScan,
+    Work,
 };
-use ts_storage::{row, Predicate, Row, Table};
+use ts_storage::{Row, Table, Value};
 
 use crate::catalog::TopologyId;
-use crate::methods::common::{entity_table, orient, shift_predicate};
+use crate::methods::common::{entity_table, orient, Oriented};
 use crate::methods::{topk, EvalOutcome, Method, QueryContext};
 use crate::query::TopologyQuery;
 
@@ -97,108 +102,85 @@ pub fn run_et_plan(
     work: &Work,
 ) -> Vec<(TopologyId, f64)> {
     let o = orient(q);
+    let catalog = ctx.catalog;
     let (from_table, from_pk) = entity_table(ctx, o.espair.from);
     let (to_table, to_pk) = entity_table(ctx, o.espair.to);
 
-    // TopInfo in score order (the index scan at the bottom of Fig. 15).
-    let ranked = ctx.catalog.ranked(q.scheme, o.espair);
-    let mut score_of: ts_storage::FastMap<TopologyId, f64> = ts_storage::FastMap::default();
-    let mut rows: Vec<Row> = Vec::with_capacity(ranked.len());
-    for (tid, score) in ranked {
-        if skip_pruned && ctx.catalog.meta(tid).pruned {
-            continue; // pruned topologies have no LeftTops rows
-        }
-        score_of.insert(tid, score);
-        rows.push(row![tid as i64]);
-    }
+    // TopInfo in score order (the index scan at the bottom of Fig. 15),
+    // borrowed from the catalog. Pruned topologies have no LeftTops rows.
+    let topinfo = catalog
+        .ranked(q.scheme, o.espair)
+        .iter()
+        .filter(move |&&tid| !(skip_pruned && catalog.meta(tid).pruned))
+        .map(|&tid| Value::Int(i64::from(tid)));
 
+    let winners = match plan {
+        EtPlanKind::Idgj => {
+            // The IDGJ stack as one semi-join: each tops row probes its
+            // from-entity, then its to-entity, stopping at the first
+            // witness of each topology.
+            let from = Endpoint { table: from_table, col: 0, pred: o.con_from };
+            let to = Endpoint { table: to_table, col: 1, pred: o.con_to };
+            let mut stack = SemiDgj::new(topinfo, tops_table, 2, from, to, work.clone());
+            collect_distinct_topk_budgeted(&mut stack, 0, k, work)
+        }
+        EtPlanKind::Hdgj => {
+            let rows: Vec<Row> = topinfo.map(|tid| Row::new(vec![tid])).collect();
+            hdgj_plan(rows, tops_table, (from_table, from_pk), (to_table, to_pk), &o, k, work)
+        }
+    };
+    let scheme = q.scheme.index();
+    winners
+        .into_iter()
+        .map(|r| {
+            let tid = r.get(0).as_int() as TopologyId;
+            (tid, catalog.meta(tid).scores[scheme])
+        })
+        .collect()
+}
+
+/// The HDGJ stack of Fig. 15 (b) over the TopInfo `rows`: expand each
+/// topology into its tops rows, then hash-join each group with the σ-scans
+/// of both entity tables, re-evaluated per group.
+fn hdgj_plan(
+    rows: Vec<Row>,
+    tops_table: &Table,
+    (from_table, from_pk): (&Table, usize),
+    (to_table, to_pk): (&Table, usize),
+    o: &Oriented<'_>,
+    k: usize,
+    work: &Work,
+) -> Vec<Row> {
     if ts_exec::engine() == ts_exec::Engine::Batch {
-        // Vectorized stack: the same Fig. 15 plan shape, batch-at-a-time.
         use ts_exec::{
-            batch_collect_distinct_topk_budgeted, BatchFilter, BatchHdgj, BatchIdgj,
-            BatchTableScan, BatchValuesScan, BoxedBatchOp,
+            batch_collect_distinct_topk_budgeted, BatchHdgj, BatchIdgj, BatchTableScan,
+            BatchValuesScan, BoxedBatchOp,
         };
         let scan: BoxedBatchOp<'_> = Box::new(BatchValuesScan::grouped(rows, 0, work.clone()));
         let expand: BoxedBatchOp<'_> =
             Box::new(BatchIdgj::new(scan, 0, tops_table, 2, 0, work.clone()));
-        let mut top: BoxedBatchOp<'_> = match plan {
-            EtPlanKind::Idgj => {
-                let j1: BoxedBatchOp<'_> =
-                    Box::new(BatchIdgj::new(expand, 1, from_table, from_pk, 0, work.clone()));
-                let f1: BoxedBatchOp<'_> =
-                    Box::new(BatchFilter::new(j1, shift_predicate(o.con_from, 4), work.clone()));
-                let j2: BoxedBatchOp<'_> =
-                    Box::new(BatchIdgj::new(f1, 2, to_table, to_pk, 0, work.clone()));
-                Box::new(BatchFilter::new(
-                    j2,
-                    shift_predicate(o.con_to, 4 + from_table.schema().arity()),
-                    work.clone(),
-                ))
-            }
-            EtPlanKind::Hdgj => {
-                let from_scan: BoxedBatchOp<'_> =
-                    Box::new(BatchTableScan::new(from_table, o.con_from.clone(), work.clone()));
-                let j1: BoxedBatchOp<'_> =
-                    Box::new(BatchHdgj::new(expand, 1, from_scan, from_pk, 0, work.clone()));
-                let to_scan: BoxedBatchOp<'_> =
-                    Box::new(BatchTableScan::new(to_table, o.con_to.clone(), work.clone()));
-                Box::new(BatchHdgj::new(j1, 2, to_scan, to_pk, 0, work.clone()))
-            }
-        };
-        return batch_collect_distinct_topk_budgeted(top.as_mut(), 0, k, work)
-            .into_iter()
-            .map(|r| {
-                let tid = r.get(0).as_int() as TopologyId;
-                (tid, score_of.get(&tid).copied().unwrap_or(0.0))
-            })
-            .collect();
+        let from_scan: BoxedBatchOp<'_> =
+            Box::new(BatchTableScan::new(from_table, o.con_from.clone(), work.clone()));
+        let j1: BoxedBatchOp<'_> =
+            Box::new(BatchHdgj::new(expand, 1, from_scan, from_pk, 0, work.clone()));
+        let to_scan: BoxedBatchOp<'_> =
+            Box::new(BatchTableScan::new(to_table, o.con_to.clone(), work.clone()));
+        let mut top = BatchHdgj::new(j1, 2, to_scan, to_pk, 0, work.clone());
+        return batch_collect_distinct_topk_budgeted(&mut top, 0, k, work);
     }
 
     let scan: BoxedOp<'_> = Box::new(ValuesScan::grouped(rows, 0, work.clone()));
     // Expand each topology into its (E1, E2, TID) rows. Output:
     // [TID, E1, E2, TID'].
     let expand: BoxedOp<'_> = Box::new(Idgj::new(scan, 0, tops_table, 2, 0, work.clone()));
-
-    let top: BoxedOp<'_> = match plan {
-        EtPlanKind::Idgj => {
-            // ⋈ from-entities by pk, then filter; same for to-entities.
-            let j1: BoxedOp<'_> =
-                Box::new(Idgj::new(expand, 1, from_table, from_pk, 0, work.clone()));
-            let f1: BoxedOp<'_> =
-                Box::new(Filter::new(j1, shift_predicate(o.con_from, 4), work.clone()));
-            let j2: BoxedOp<'_> = Box::new(Idgj::new(f1, 2, to_table, to_pk, 0, work.clone()));
-            Box::new(Filter::new(
-                j2,
-                shift_predicate(o.con_to, 4 + from_table.schema().arity()),
-                work.clone(),
-            ))
-        }
-        EtPlanKind::Hdgj => {
-            // HDGJ inners are σ-scans re-evaluated per group.
-            let from_scan: BoxedOp<'_> =
-                Box::new(TableScan::new(from_table, o.con_from.clone(), work.clone()));
-            let j1: BoxedOp<'_> =
-                Box::new(Hdgj::new(expand, 1, from_scan, from_pk, 0, work.clone()));
-            let to_scan: BoxedOp<'_> =
-                Box::new(TableScan::new(to_table, o.con_to.clone(), work.clone()));
-            Box::new(Hdgj::new(j1, 2, to_scan, to_pk, 0, work.clone()))
-        }
-    };
-
-    let mut top = top;
-    let winners = collect_distinct_topk_budgeted(top.as_mut(), 0, k, work);
-    winners
-        .into_iter()
-        .map(|r| {
-            let tid = r.get(0).as_int() as TopologyId;
-            (tid, score_of.get(&tid).copied().unwrap_or(0.0))
-        })
-        .collect()
+    // HDGJ inners are σ-scans re-evaluated per group.
+    let from_scan: BoxedOp<'_> =
+        Box::new(TableScan::new(from_table, o.con_from.clone(), work.clone()));
+    let j1: BoxedOp<'_> = Box::new(Hdgj::new(expand, 1, from_scan, from_pk, 0, work.clone()));
+    let to_scan: BoxedOp<'_> = Box::new(TableScan::new(to_table, o.con_to.clone(), work.clone()));
+    let mut top = Hdgj::new(j1, 2, to_scan, to_pk, 0, work.clone());
+    collect_distinct_topk_budgeted(&mut top, 0, k, work)
 }
-
-/// Suppress unused-import warning for Predicate used in doc examples.
-#[allow(unused)]
-fn _pred_anchor(p: Predicate) {}
 
 #[cfg(test)]
 mod tests {
@@ -209,6 +191,7 @@ mod tests {
     use crate::query::RankScheme;
     use crate::score::{score_catalog, DomainScorer};
     use ts_graph::fixtures::{figure3, DNA, PROTEIN};
+    use ts_storage::Predicate;
 
     fn setup(
         threshold: u64,

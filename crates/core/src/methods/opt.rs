@@ -39,13 +39,16 @@ pub fn eval(
 
     let skip_pruned = variant == Variant::Fast;
     // Group cardinalities in score order: LeftTops rows per topology.
-    let groups: Vec<f64> = ctx
-        .catalog
-        .ranked(q.scheme, o.espair)
-        .into_iter()
-        .filter(|&(tid, _)| !(skip_pruned && ctx.catalog.meta(tid).pruned))
-        .map(|(tid, _)| ctx.catalog.meta(tid).freq as f64)
-        .collect();
+    let ranked = ctx.catalog.ranked(q.scheme, o.espair);
+    let mut groups: Vec<f64> = Vec::with_capacity(ranked.len());
+    let mut pruned = 0usize;
+    for &tid in ranked {
+        let meta = ctx.catalog.meta(tid);
+        pruned += usize::from(meta.pruned);
+        if !(skip_pruned && meta.pruned) {
+            groups.push(meta.freq as f64);
+        }
+    }
     let m = groups.len() as f64;
     let total_rows: f64 = groups.iter().sum();
 
@@ -83,10 +86,7 @@ pub fn eval(
         // Gated pruned checks: each pruned topology may walk the selected
         // from-side, but the first-witness early exit usually stops far
         // sooner (factor 0.25, calibrated against the engine).
-        let pruned =
-            ctx.catalog.metas().iter().filter(|mm| mm.pruned && mm.espair == o.espair).count()
-                as f64;
-        regular_cost += 0.25 * pruned * from_table.len() as f64 * rho_from;
+        regular_cost += 0.25 * pruned as f64 * from_table.len() as f64 * rho_from;
     }
 
     let choose_et = et_cost < regular_cost;

@@ -90,13 +90,16 @@ pub(crate) fn gate_pruned(
     } else {
         f64::NEG_INFINITY
     };
+    // The espair's pruned topologies that could still enter the top-k,
+    // read from TopInfo in score order up to the first one below the bar.
+    let scheme = q.scheme.index();
     let candidates: Vec<(TopologyId, f64)> = ctx
         .catalog
-        .metas()
+        .ranked(q.scheme, o.espair)
         .iter()
-        .filter(|m| m.pruned && m.espair == o.espair)
-        .map(|m| (m.id, m.scores[q.scheme.index()]))
-        .filter(|&(_, s)| s >= kth_score)
+        .map(|&tid| (tid, ctx.catalog.meta(tid).scores[scheme]))
+        .take_while(|&(_, s)| s >= kth_score)
+        .filter(|&(tid, _)| ctx.catalog.meta(tid).pruned)
         .collect();
     if candidates.is_empty() {
         return 0;

@@ -71,6 +71,9 @@ impl DomainScorer {
 /// * `Freq` — the frequency itself (common first).
 /// * `Rare` — `1 / freq` (rare first).
 /// * `Domain` — the pseudo-expert.
+///
+/// Then stores each (espair, scheme)'s TopInfo in score order, which the
+/// top-k plans read through [`Catalog::ranked`].
 pub fn score_catalog(catalog: &mut Catalog, domain: &DomainScorer) {
     let domain_scores: Vec<f64> = catalog.metas().iter().map(|m| domain.score(m)).collect();
     for (m, d) in catalog.metas_mut().iter_mut().zip(domain_scores) {
@@ -78,6 +81,7 @@ pub fn score_catalog(catalog: &mut Catalog, domain: &DomainScorer) {
         m.scores[1] = 1.0 / m.freq.max(1) as f64;
         m.scores[2] = d;
     }
+    catalog.rank();
 }
 
 #[cfg(test)]
@@ -104,10 +108,11 @@ mod tests {
         assert_eq!(by_freq.len(), by_rare.len());
         // With all frequencies equal (fixture), both orders are by id;
         // check the score relationship instead.
-        for (tid, s) in &by_freq {
+        for tid in by_freq {
             let meta = cat.meta(*tid);
-            assert_eq!(*s, meta.freq as f64);
-            let rare = by_rare.iter().find(|(t, _)| t == tid).expect("present").1;
+            assert_eq!(meta.scores[RankScheme::Freq.index()], meta.freq as f64);
+            assert!(by_rare.contains(tid));
+            let rare = meta.scores[RankScheme::Rare.index()];
             assert!((rare - 1.0 / meta.freq as f64).abs() < 1e-12);
         }
     }
@@ -149,5 +154,27 @@ mod tests {
         }
         .score(meta);
         assert!(boosted > plain);
+    }
+
+    #[test]
+    fn stored_ranking_matches_a_naive_sort() {
+        let cat = scored_catalog();
+        let mut espairs: Vec<EsPair> = cat.metas().iter().map(|m| m.espair).collect();
+        espairs.sort();
+        espairs.dedup();
+        for scheme in RankScheme::all() {
+            for &pair in &espairs {
+                let mut naive: Vec<(f64, u32)> = cat
+                    .metas()
+                    .iter()
+                    .filter(|m| m.espair == pair)
+                    .map(|m| (m.scores[scheme.index()], m.id))
+                    .collect();
+                naive.sort_by(|a, b| b.0.total_cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
+                let naive: Vec<u32> = naive.into_iter().map(|(_, id)| id).collect();
+                assert_eq!(cat.ranked(scheme, pair), naive.as_slice(), "{scheme} {pair:?}");
+            }
+        }
+        assert!(cat.ranked(RankScheme::Freq, EsPair::new(900, 901)).is_empty());
     }
 }

@@ -17,9 +17,14 @@
 //! time, re-evaluating (re-scanning) the inner relation for each group —
 //! the overhead the paper's cost-based optimizer weighs against the
 //! early-termination benefit.
+//!
+//! [`SemiDgj`] is the whole IDGJ stack of Fig. 15 (a) fused into one
+//! semi-join: the plan only asks *whether* a group has a surviving row,
+//! so it reads borrowed rows, stops at the first witness, and builds no
+//! joined tuples.
 
 use ts_storage::faults::{self, sites, FireAction};
-use ts_storage::{FastMap, Row, Table, Value};
+use ts_storage::{FastMap, Predicate, Row, RowRef, Table, Value};
 
 use crate::batch::{Batch, BatchOperator, BoxedBatchOp};
 use crate::join::probe_inner_columnwise;
@@ -327,6 +332,106 @@ impl<'a> BatchOperator<'a> for BatchIdgj<'a> {
         }
         self.current_group = None;
     }
+}
+
+/// One endpoint of a [`SemiDgj`]: the entity table probed by primary
+/// key with a tops row's `col` value, and the predicate the entity row
+/// must satisfy.
+#[derive(Debug, Clone, Copy)]
+pub struct Endpoint<'a> {
+    /// Entity table (probed through its primary-key index).
+    pub table: &'a Table,
+    /// Column of the tops table holding the entity id.
+    pub col: usize,
+    /// Predicate on the entity table's own columns.
+    pub pred: &'a Predicate,
+}
+
+impl Endpoint<'_> {
+    /// One pk probe: does the entity `tops_row` names exist and satisfy
+    /// the predicate?
+    fn admits(&self, tops_row: RowRef<'_>, work: &Work) -> bool {
+        work.tick(1);
+        self.table.by_pk(&tops_row.get(self.col)).is_some_and(|r| self.pred.eval_ref(r))
+    }
+}
+
+/// Semi-join DGJ: the index nested-loops DGJ stack of Fig. 15 (a) —
+/// `σ(to) ⋈ σ(from) ⋈ tops ⋈ TopInfo` — fused for a consumer that only
+/// needs each surviving group once.
+///
+/// For each group id pulled from `groups` (TopInfo in score order) it
+/// walks the group's borrowed rid run in the tops table's index on
+/// `group_col`; for each tops row it probes the `from` entity, then the
+/// `to` entity, by primary key and evaluates their predicates on the
+/// borrowed rows. The first row passing both is the group's witness: the
+/// operator emits the one-column row `[group]` and moves on, so it never
+/// examines a row past the witness and builds no joined tuples.
+///
+/// `Work`: one unit per group pulled, one per tops row examined, one per
+/// pk probe. Each emitted row is a whole group, so
+/// [`Operator::advance_to_next_group`] has nothing left to skip.
+pub struct SemiDgj<'a, I> {
+    start: I,
+    groups: I,
+    tops: &'a Table,
+    group_col: usize,
+    from: Endpoint<'a>,
+    to: Endpoint<'a>,
+    work: Work,
+}
+
+impl<'a, I: Iterator<Item = Value> + Clone> SemiDgj<'a, I> {
+    /// Build a semi-join DGJ over a stream of group ids; `tops` must be
+    /// indexed on `group_col`.
+    pub fn new(
+        groups: I,
+        tops: &'a Table,
+        group_col: usize,
+        from: Endpoint<'a>,
+        to: Endpoint<'a>,
+        work: Work,
+    ) -> Self {
+        SemiDgj { start: groups.clone(), groups, tops, group_col, from, to, work }
+    }
+}
+
+impl<I: Iterator<Item = Value> + Clone> Operator for SemiDgj<'_, I> {
+    fn next(&mut self) -> Option<Row> {
+        loop {
+            if self.work.interrupted() {
+                return None;
+            }
+            if let FireAction::Starve = faults::fire(sites::EXEC_DGJ_PROBE) {
+                self.work.starve();
+                return None;
+            }
+            let group = self.groups.next()?;
+            self.work.tick(1);
+            for &rid in self.tops.index_probe(self.group_col, &group) {
+                if self.work.interrupted() {
+                    return None;
+                }
+                self.work.tick(1);
+                let r = self.tops.row(rid);
+                if self.from.admits(r, &self.work) && self.to.admits(r, &self.work) {
+                    return Some(Row::new(vec![group]));
+                }
+            }
+        }
+    }
+
+    fn rewind(&mut self) {
+        self.groups = self.start.clone();
+    }
+
+    fn grouped(&self) -> bool {
+        true
+    }
+
+    /// A no-op: [`Operator::next`] emits one row per group and has
+    /// already left that group behind.
+    fn advance_to_next_group(&mut self) {}
 }
 
 /// Hash DGJ: joins one group at a time.
@@ -811,6 +916,81 @@ mod tests {
         assert_eq!(top2.len(), 2);
         assert_eq!(top2[0].get(0).as_int(), 100);
         assert_eq!(top2[1].get(0).as_int(), 200);
+    }
+
+    /// Semi-join fixture: entity tables `A(id, tag)` and `B(id, tag)`
+    /// and a tops table `T(E1, E2, TID)` indexed on TID. Group 100's
+    /// rows: (1, 10) fails at A, (2, 10) passes A and fails at B,
+    /// (2, 20) passes both. Group 200's only row (1, 20) fails at A.
+    /// Group 300's first row (2, 20) is a witness; its second is never
+    /// read.
+    fn semi_fixture() -> (Table, Table, Table) {
+        let entity = |name: &str, rows: [(i64, &str); 2]| {
+            let mut t = Table::new(TableSchema::new(
+                name,
+                vec![ColumnDef::new("id", ValueType::Int), ColumnDef::new("tag", ValueType::Str)],
+                Some(0),
+            ));
+            for (id, tag) in rows {
+                t.insert(row![id, tag]).unwrap();
+            }
+            t
+        };
+        let a = entity("A", [(1, "no"), (2, "yes")]);
+        let b = entity("B", [(10, "no"), (20, "yes")]);
+        let mut tops = Table::new(TableSchema::new(
+            "T",
+            vec![
+                ColumnDef::new("E1", ValueType::Int),
+                ColumnDef::new("E2", ValueType::Int),
+                ColumnDef::new("TID", ValueType::Int),
+            ],
+            None,
+        ));
+        for r in
+            [[1, 10, 100], [2, 10, 100], [2, 20, 100], [1, 20, 200], [2, 20, 300], [1, 10, 300]]
+        {
+            tops.insert_ints(&r).unwrap();
+        }
+        tops.create_index(2);
+        (a, b, tops)
+    }
+
+    fn semi<'a>(
+        (a, b, tops): &'a (Table, Table, Table),
+        pred: &'a Predicate,
+        work: &Work,
+    ) -> SemiDgj<'a, std::vec::IntoIter<Value>> {
+        let groups = vec![Value::Int(100), Value::Int(200), Value::Int(300)];
+        let from = Endpoint { table: a, col: 0, pred };
+        let to = Endpoint { table: b, col: 1, pred };
+        SemiDgj::new(groups.into_iter(), tops, 2, from, to, work.clone())
+    }
+
+    #[test]
+    fn semi_dgj_emits_groups_with_a_witness() {
+        let fx = semi_fixture();
+        let yes = Predicate::eq(1, "yes");
+        let w = Work::new();
+        let mut j = semi(&fx, &yes, &w);
+        let got: Vec<i64> = collect_all(&mut j).iter().map(|r| r.get(0).as_int()).collect();
+        assert_eq!(got, vec![100, 300]);
+        // Groups: 3. Rows: 3 + 1 + 1. Probes: 1 + 2 + 2 (group 100),
+        // 1 (group 200), 2 (group 300).
+        assert_eq!(w.get(), 3 + 5 + 8);
+        j.rewind();
+        assert_eq!(j.next().map(|r| r.get(0).as_int()), Some(100));
+    }
+
+    #[test]
+    fn semi_dgj_k1_stops_at_the_first_witness() {
+        let fx = semi_fixture();
+        let w = Work::new();
+        let mut j = semi(&fx, &Predicate::True, &w);
+        let top1 = crate::driver::collect_distinct_topk_budgeted(&mut j, 0, 1, &w);
+        assert_eq!(top1, vec![row![100i64]]);
+        // One group, one tops row, two pk probes.
+        assert_eq!(w.get(), 4);
     }
 
     /// Minimal rewindable scan over a table for HDGJ inners in tests.

@@ -14,7 +14,9 @@
 //!
 //! Two implementations are provided, exactly as in the paper: [`Idgj`]
 //! (index nested-loops) and [`Hdgj`] (hash join executed a group at a
-//! time, re-evaluating the inner per group). Regular operators
+//! time, re-evaluating the inner per group), plus [`SemiDgj`], the IDGJ
+//! stack fused into a semi-join that stops at each group's first
+//! witness. Regular operators
 //! (scans, filters, hash join, index NLJ, sort, distinct, limit, union)
 //! complete the engine so that every strategy of the evaluation runs on
 //! the same substrate.
@@ -42,7 +44,7 @@ pub use batch::{
     batch_rows, engine, set_batch_rows, set_engine, Batch, BatchOperator, BoxedBatchOp, Col,
     Engine, DEFAULT_BATCH_ROWS,
 };
-pub use dgj::{BatchHdgj, BatchIdgj, Hdgj, Idgj};
+pub use dgj::{BatchHdgj, BatchIdgj, Endpoint, Hdgj, Idgj, SemiDgj};
 pub use driver::{
     batch_collect_all, batch_collect_all_budgeted, batch_collect_distinct_groups,
     batch_collect_distinct_topk, batch_collect_distinct_topk_budgeted, collect_all,

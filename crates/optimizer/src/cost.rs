@@ -24,6 +24,8 @@
 //! `J ~ Bin(m, ρ)`, `E[1-(1-x)^J] = 1-(1-ρx)^m`, which extends smoothly
 //! to fractional expected fan-outs.
 
+use std::collections::HashMap;
+
 /// Parameters of one operator in a DGJ stack.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DgjOpParams {
@@ -81,17 +83,24 @@ impl CostModel {
         let x1 = if n == 0 { 1.0 } else { x[1] };
         let d1 = if n == 0 { 0.0 } else { delta[1] };
 
+        // np/nc/ec depend on a group only through its cardinality, and
+        // real group vectors repeat a few cardinalities many times over:
+        // evaluate each distinct one once.
         let mut np = Vec::with_capacity(p.groups.len());
         let mut nc = Vec::with_capacity(p.groups.len());
         let mut ec = Vec::with_capacity(p.groups.len());
+        let mut memo: HashMap<u64, (f64, f64, f64)> = HashMap::new();
         for &card in &p.groups {
-            // Theorem 2.
-            let npi = (1.0 - x1).max(0.0).powf(card);
+            let &mut (npi, nci, eci) = memo.entry(card.to_bits()).or_insert_with(|| {
+                // Theorem 2.
+                let npi = (1.0 - x1).max(0.0).powf(card);
+                // Theorem 3: nc_i = np_i · Card_i · δ_1; Theorem 4 (with
+                // the x_l fix), evaluated bottom-up.
+                (npi, npi * card * d1, expected_first_result_cost(p, &x, &delta, card))
+            });
             np.push(npi);
-            // Theorem 3: nc_i = np_i · Card_i · δ_1.
-            nc.push(npi * card * d1);
-            // Theorem 4 (with the x_l fix), evaluated bottom-up.
-            ec.push(expected_first_result_cost(p, &x, &delta, card));
+            nc.push(nci);
+            ec.push(eci);
         }
         CostModel { x, delta, np, nc, ec }
     }
@@ -141,19 +150,19 @@ pub fn et_stack_cost(p: &DgjStackParams, k: usize) -> f64 {
         return 0.0;
     }
     let model = CostModel::derive(p);
-    // dp[l][kk] = E[Z^kk_{l+1..m}] with l in 0..=m (l = m: beyond last).
+    // Two rolling rows of dp[l][kk] = E[Z^kk_{l..m}]: `next` holds row
+    // l + 1 (zeros past the last group), `cur` receives row l.
     let kmax = k.min(m);
-    let mut next = vec![0.0f64; kmax + 1]; // l = m+1 row: zeros
-    for l in (1..=m).rev() {
-        let mut cur = vec![0.0f64; kmax + 1];
+    let mut next = vec![0.0f64; kmax + 1];
+    let mut cur = vec![0.0f64; kmax + 1];
+    for i in (0..m).rev() {
         for kk in 1..=kmax {
-            let i = l - 1;
             cur[kk] = model.ec[i]
                 + (1.0 - model.np[i]) * next[kk - 1]
                 + model.nc[i]
                 + model.np[i] * next[kk];
         }
-        next = cur;
+        std::mem::swap(&mut next, &mut cur);
     }
     next[kmax]
 }

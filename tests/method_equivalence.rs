@@ -156,6 +156,36 @@ fn assert_topk_prefix(
     }
 }
 
+/// The 60-query grid: 20 seeded random queries, each under all three
+/// rank schemes (query-major).
+fn grid(ids: &ts_biozon::SchemaIds) -> Vec<TopologyQuery> {
+    let espairs = [
+        (ids.protein, ids.dna),
+        (ids.protein, ids.unigene),
+        (ids.protein, ids.interaction),
+        (ids.dna, ids.unigene),
+        (ids.dna, ids.interaction),
+        (ids.unigene, ids.interaction),
+    ];
+    let ks = [1usize, 2, 3, 5, 10, 1_000];
+    let mut rng = Rng(0xB10_0B0E);
+    let mut out = Vec::with_capacity(60);
+    for _ in 0..20 {
+        let (es1, es2) = espairs[rng.below(espairs.len())];
+        let con1 = random_predicate(es1, ids, &mut rng);
+        let con2 = random_predicate(es2, ids, &mut rng);
+        let k = ks[rng.below(ks.len())];
+        for scheme in RankScheme::all() {
+            out.push(
+                TopologyQuery::new(es1, con1.clone(), es2, con2.clone(), 2)
+                    .with_k(k)
+                    .with_scheme(scheme),
+            );
+        }
+    }
+    out
+}
+
 #[test]
 fn nine_methods_agree_on_randomized_workloads() {
     let h = harness(1, 0.12, 2, 3);
@@ -167,68 +197,49 @@ fn nine_methods_agree_on_randomized_workloads() {
         "threshold must actually prune something, or the Fast methods are trivially Full"
     );
 
-    let espairs = [
-        (ids.protein, ids.dna),
-        (ids.protein, ids.unigene),
-        (ids.protein, ids.interaction),
-        (ids.dna, ids.unigene),
-        (ids.dna, ids.interaction),
-        (ids.unigene, ids.interaction),
-    ];
-    let ks = [1usize, 2, 3, 5, 10, 1_000];
-
-    let mut rng = Rng(0xB10_0B0E);
     let mut queries = 0usize;
     let mut nonempty = 0usize;
     let mut digest = Digest::new();
-    for qi in 0..20 {
-        let (es1, es2) = espairs[rng.below(espairs.len())];
-        let con1 = random_predicate(es1, ids, &mut rng);
-        let con2 = random_predicate(es2, ids, &mut rng);
-        let k = ks[rng.below(ks.len())];
-        for scheme in RankScheme::all() {
-            let q = TopologyQuery::new(es1, con1.clone(), es2, con2.clone(), 2)
-                .with_k(k)
-                .with_scheme(scheme);
-            queries += 1;
+    for (i, q) in grid(ids).into_iter().enumerate() {
+        let (qi, es1, es2, k, scheme) = (i / 3, q.es1, q.es2, q.k, q.scheme);
+        queries += 1;
 
-            // Ground truth: the complete ranked result (k beyond any
-            // topology count), plus Full-Top's unranked set.
-            let full_ranked = Method::FullTopK.eval(&ctx, &q.clone().with_k(1_000_000));
-            let reference = Method::FullTop.eval(&ctx, &q);
-            let ref_set = reference.tid_set();
-            assert_eq!(
-                full_ranked.tid_set(),
-                ref_set,
-                "query {qi}/{scheme}: ranked ground truth covers a different tid set"
-            );
-            if !ref_set.is_empty() {
-                nonempty += 1;
+        // Ground truth: the complete ranked result (k beyond any
+        // topology count), plus Full-Top's unranked set.
+        let full_ranked = Method::FullTopK.eval(&ctx, &q.clone().with_k(1_000_000));
+        let reference = Method::FullTop.eval(&ctx, &q);
+        let ref_set = reference.tid_set();
+        assert_eq!(
+            full_ranked.tid_set(),
+            ref_set,
+            "query {qi}/{scheme}: ranked ground truth covers a different tid set"
+        );
+        if !ref_set.is_empty() {
+            nonempty += 1;
+        }
+
+        for (mi, m) in Method::all().into_iter().enumerate() {
+            let got = m.eval(&ctx, &q);
+            digest.u64(mi as u64);
+            digest.u64(got.topologies.len() as u64);
+            for &(tid, score) in &got.topologies {
+                digest.u64(tid as u64);
+                digest.u64(score.to_bits());
             }
-
-            for (mi, m) in Method::all().into_iter().enumerate() {
-                let got = m.eval(&ctx, &q);
-                digest.u64(mi as u64);
-                digest.u64(got.topologies.len() as u64);
-                for &(tid, score) in &got.topologies {
-                    digest.u64(tid as u64);
-                    digest.u64(score.to_bits());
-                }
-                if m.is_topk() {
-                    assert_topk_prefix(
-                        &format!("query {qi} ({es1}-{es2}, k={k}, {scheme}, {})", m.name()),
-                        &got.topologies,
-                        &full_ranked.topologies,
-                        k,
-                    );
-                } else {
-                    assert_eq!(
-                        got.tid_set(),
-                        ref_set,
-                        "query {qi} ({es1}-{es2}, {scheme}): {} disagrees with Full-Top",
-                        m.name()
-                    );
-                }
+            if m.is_topk() {
+                assert_topk_prefix(
+                    &format!("query {qi} ({es1}-{es2}, k={k}, {scheme}, {})", m.name()),
+                    &got.topologies,
+                    &full_ranked.topologies,
+                    k,
+                );
+            } else {
+                assert_eq!(
+                    got.tid_set(),
+                    ref_set,
+                    "query {qi} ({es1}-{es2}, {scheme}): {} disagrees with Full-Top",
+                    m.name()
+                );
             }
         }
     }
@@ -246,6 +257,155 @@ fn nine_methods_agree_on_randomized_workloads() {
         digest.0, MATRIX_DIGEST,
         "the 60-query x nine-method x three-scheme matrix diverged from the checked expectations"
     );
+}
+
+/// Full-Top-k-ET and Fast-Top-k-ET work per grid query under the
+/// operator-stack ET plan this repository ran before the semi-join DGJ
+/// (default engine): the ceiling [`et_work_is_engine_independent_and_bounded`]
+/// holds the current plan to.
+const STACK_ET_WORK: [(u64, u64); 60] = [
+    (234, 395),
+    (234, 395),
+    (234, 395),
+    (144, 335),
+    (144, 335),
+    (144, 335),
+    (471, 376),
+    (471, 376),
+    (471, 376),
+    (57, 323),
+    (57, 323),
+    (57, 323),
+    (81, 337),
+    (81, 337),
+    (81, 337),
+    (420, 376),
+    (51, 376),
+    (429, 376),
+    (54, 500),
+    (75, 500),
+    (75, 500),
+    (75, 341),
+    (102, 341),
+    (102, 341),
+    (120, 311),
+    (120, 311),
+    (120, 311),
+    (81, 520),
+    (51, 51),
+    (54, 497),
+    (63, 381),
+    (63, 381),
+    (63, 381),
+    (204, 559),
+    (144, 559),
+    (195, 559),
+    (144, 335),
+    (144, 335),
+    (144, 335),
+    (147, 524),
+    (57, 524),
+    (57, 524),
+    (75, 382),
+    (75, 382),
+    (75, 382),
+    (27, 494),
+    (9, 9),
+    (21, 21),
+    (27, 494),
+    (9, 9),
+    (21, 21),
+    (27, 381),
+    (9, 9),
+    (9, 9),
+    (27, 502),
+    (9, 9),
+    (18, 18),
+    (468, 462),
+    (468, 462),
+    (468, 462),
+];
+
+/// Opt's choice per grid query, Full then Fast (`E` = ET plan, `R` =
+/// regular plan), as made before the cost-model memoization; the
+/// estimates are bit-identical, so the choices must be too.
+const OPT_CHOICES: &str = concat!(
+    "EEEEEEEEEEEEEEEEEEEEEEEE",
+    "EEEEEEEEEEEEEEEEEEEEEEEE",
+    "EEEEEEEEEEEEEEEEEEEEEEEE",
+    "EEEEEEEEEEEEEEEEEEEEEEEE",
+    "EEEEEEEEEEEEEEEEEEEEEEEE",
+);
+
+#[test]
+fn et_work_is_engine_independent_and_bounded() {
+    use ts_exec::{set_engine, Engine};
+    let h = harness(1, 0.12, 2, 3);
+    let ctx =
+        QueryContext { db: &h.biozon.db, graph: &h.graph, schema: &h.schema, catalog: &h.catalog };
+    let work = |m: Method, q: &TopologyQuery, engine: Engine| {
+        set_engine(engine);
+        let w = m.eval(&ctx, q).work;
+        set_engine(Engine::Batch);
+        w
+    };
+    for (i, q) in grid(&h.biozon.ids).iter().enumerate() {
+        for m in [Method::FullTopKEt, Method::FastTopKEt, Method::FullTopKOpt, Method::FastTopKOpt]
+        {
+            let (batch, tuple) = (work(m, q, Engine::Batch), work(m, q, Engine::Tuple));
+            assert_eq!(batch, tuple, "query {i} {}: batch vs tuple work", m.name());
+        }
+        let full = work(Method::FullTopKEt, q, Engine::Batch);
+        let fast = work(Method::FastTopKEt, q, Engine::Batch);
+        let (stack_full, stack_fast) = STACK_ET_WORK[i];
+        assert!(full <= stack_full, "query {i}: Full-Top-k-ET work {full} > {stack_full}");
+        assert!(fast <= stack_fast, "query {i}: Fast-Top-k-ET work {fast} > {stack_fast}");
+        if q.con1 == Predicate::True && q.con2 == Predicate::True {
+            // The paper's shape: without predicates, early termination
+            // reads less than full evaluation.
+            let topk = work(Method::FullTopK, q, Engine::Batch);
+            assert!(full <= topk, "query {i}: ET work {full} > Full-Top-k work {topk}");
+        }
+    }
+}
+
+#[test]
+fn et_k1_examines_exactly_one_tops_row() {
+    // Without predicates every tops row is a witness, so k = 1 ends the
+    // plan at the first row of the first topology: one TopInfo entry,
+    // one tops row, two pk probes, however many rows that topology has.
+    let h = harness(1, 0.12, 2, 3);
+    let ids = &h.biozon.ids;
+    let ctx =
+        QueryContext { db: &h.biozon.db, graph: &h.graph, schema: &h.schema, catalog: &h.catalog };
+    let mut widest = 0;
+    for (es1, es2) in [(ids.protein, ids.dna), (ids.protein, ids.unigene), (ids.dna, ids.unigene)] {
+        for scheme in RankScheme::all() {
+            let q = TopologyQuery::new(es1, Predicate::True, es2, Predicate::True, 2)
+                .with_k(1)
+                .with_scheme(scheme);
+            let out = Method::FullTopKEt.eval(&ctx, &q);
+            assert_eq!(out.topologies.len(), 1);
+            assert_eq!(out.work, 1 + 1 + 2, "{es1}-{es2} {scheme}");
+            widest = widest.max(h.catalog.meta(out.topologies[0].0).freq);
+        }
+    }
+    assert!(widest > 1, "some winning topology must have more than one tops row");
+}
+
+#[test]
+fn opt_choices_on_the_grid_are_unchanged() {
+    let h = harness(1, 0.12, 2, 3);
+    let ctx =
+        QueryContext { db: &h.biozon.db, graph: &h.graph, schema: &h.schema, catalog: &h.catalog };
+    let mut got = String::new();
+    for q in grid(&h.biozon.ids) {
+        for m in [Method::FullTopKOpt, Method::FastTopKOpt] {
+            let chose_et = m.eval(&ctx, &q).detail.starts_with("opt chose ET");
+            got.push(if chose_et { 'E' } else { 'R' });
+        }
+    }
+    assert_eq!(got, OPT_CHOICES);
 }
 
 #[test]
