@@ -40,11 +40,37 @@ pub fn entity_table<'a>(ctx: &QueryContext<'a>, es: u16) -> (&'a Table, usize) {
     (table, pk)
 }
 
-/// Entity ids of `es` satisfying `con` (a metered sequential scan — the
-/// σ of the paper's plans).
+/// The entity id a `pk = id` constraint pins, if `con` is exactly that.
+pub fn pinned_id(con: &Predicate, pk: usize) -> Option<i64> {
+    match *con {
+        Predicate::Eq(col, Value::Int(id)) if col == pk => Some(id),
+        _ => None,
+    }
+}
+
+/// Estimated `(cost, rows)` of σ_con over entity set `es`: one pk probe
+/// for a pin, a full scan otherwise; rows from the table statistics.
+pub fn selection_estimate(ctx: &QueryContext<'_>, es: u16, con: &Predicate) -> (f64, f64) {
+    let (table, pk) = entity_table(ctx, es);
+    let n = table.len() as f64;
+    let rho = table.stats().map_or(1.0, |s| con.selectivity(s));
+    let cost = if pinned_id(con, pk).is_some() { 1.0 } else { n };
+    (cost, rho * n)
+}
+
+/// Entity ids of `es` satisfying `con` — the σ of the paper's plans. A
+/// `pk = id` pin is answered by one metered pk probe; any other
+/// constraint by a metered sequential scan.
 pub fn selected_ids(ctx: &QueryContext<'_>, es: u16, con: &Predicate, work: &Work) -> FastSet<i64> {
     let (table, pk) = entity_table(ctx, es);
     let mut out = FastSet::default();
+    if let Some(id) = pinned_id(con, pk) {
+        work.tick(1);
+        if table.by_pk(&Value::Int(id)).is_some() {
+            out.insert(id);
+        }
+        return out;
+    }
     if ts_exec::engine() == ts_exec::Engine::Batch {
         use ts_exec::BatchOperator;
         let mut scan = ts_exec::BatchTableScan::new(table, con.clone(), work.clone());
@@ -62,22 +88,6 @@ pub fn selected_ids(ctx: &QueryContext<'_>, es: u16, con: &Predicate, work: &Wor
         }
     }
     out
-}
-
-/// Does entity `id` of set `es` satisfy `con`? (One pk probe.)
-pub fn entity_satisfies(
-    ctx: &QueryContext<'_>,
-    es: u16,
-    id: i64,
-    con: &Predicate,
-    work: &Work,
-) -> bool {
-    let (table, _pk) = entity_table(ctx, es);
-    work.tick(1);
-    match table.by_pk(&Value::Int(id)) {
-        Some(row) => con.eval_ref(row),
-        None => false,
-    }
 }
 
 /// Decode a path signature into `(types, rels)` oriented so that
@@ -100,6 +110,10 @@ pub fn decode_sig(sig: &PathSig, start_type: u16) -> Option<(Vec<u16>, Vec<u16>)
     None
 }
 
+/// How many times more entities E1 must select than E2 before
+/// [`online_path_check`] walks from E2.
+const WALK_FROM_E2_RATIO: usize = 4;
+
 /// The online existence check for a pruned path topology (§4.3): is
 /// there a pair `(a ∈ A, b ∈ B)` connected by an instance of the
 /// topology's label walk that is **not** in the exception table?
@@ -107,6 +121,11 @@ pub fn decode_sig(sig: &PathSig, start_type: u16) -> Option<(Vec<u16>, Vec<u16>)
 /// This is the paper's lower sub-query of SQL1 — a join along the path's
 /// relationship tables with `NOT EXISTS (SELECT 1 FROM ExcpTops …)` —
 /// executed as a label-constrained DFS with first-witness early exit.
+/// The DFS starts from E2 only when E1 selects more than
+/// `WALK_FROM_E2_RATIO` (4) times as many entities: a witness found
+/// early ends the walk, so a merely smaller start set does not always
+/// pay (walking from the smaller side on every query raised one grid
+/// query's Fast-Top-k-ET work above its ceiling).
 pub fn online_path_check(
     ctx: &QueryContext<'_>,
     tid: TopologyId,
@@ -114,12 +133,33 @@ pub fn online_path_check(
     b_ids: &FastSet<i64>,
     work: &Work,
 ) -> bool {
+    let from_e2 = a_ids.len() > WALK_FROM_E2_RATIO * b_ids.len();
+    path_witness(ctx, tid, a_ids, b_ids, from_e2, work)
+}
+
+/// [`online_path_check`]'s DFS, walked out of E2 (label path reversed)
+/// when `from_e2` holds and out of E1 otherwise.
+fn path_witness(
+    ctx: &QueryContext<'_>,
+    tid: TopologyId,
+    a_ids: &FastSet<i64>,
+    b_ids: &FastSet<i64>,
+    from_e2: bool,
+    work: &Work,
+) -> bool {
     let meta = ctx.catalog.meta(tid);
     // lint: allow(unwrap-in-lib): callers run the online check only for pruned
     // topologies, and pruning selects only path-shaped victims (path_sig is Some)
     let sig = meta.path_sig.as_ref().expect("online check requires a path topology");
-    let Some((types, rels)) = decode_sig(sig, meta.espair.from) else {
+    let Some((mut types, mut rels)) = decode_sig(sig, meta.espair.from) else {
         return false;
+    };
+    let (start_es, starts, ends) = if from_e2 {
+        types.reverse();
+        rels.reverse();
+        (meta.espair.to, b_ids, a_ids)
+    } else {
+        (meta.espair.from, a_ids, b_ids)
     };
     let g = ctx.graph;
     // Label-constrained DFS: position i must have type types[i]. `path`
@@ -128,16 +168,17 @@ pub fn online_path_check(
     // sat at depth `pos` or deeper, so `path[..pos]` are its ancestors.
     let mut stack: Vec<(u32, usize)> = Vec::new();
     let mut path: Vec<u32> = Vec::with_capacity(rels.len() + 1);
-    for &a in a_ids {
-        let Some(start) = g.node(meta.espair.from, a) else { continue };
+    for &s in starts {
+        let Some(start) = g.node(start_es, s) else { continue };
         stack.push((start, 0));
         while let Some((node, pos)) = stack.pop() {
             path.truncate(pos);
             path.push(node);
             if pos == rels.len() {
-                let b = g.node_entity(node);
-                if b_ids.contains(&b) {
-                    work.tick(1); // exception-table probe
+                let e = g.node_entity(node);
+                if ends.contains(&e) {
+                    work.tick(1); // exception-table probe, keyed (E1, E2)
+                    let (a, b) = if from_e2 { (e, s) } else { (s, e) };
                     if !ctx.catalog.excp_contains(a, b, tid) {
                         return true;
                     }
@@ -174,5 +215,70 @@ mod tests {
         assert_eq!(t2, vec![2, 1, 0]);
         assert_eq!(r2, vec![2, 1]);
         assert!(decode_sig(&sig, 9).is_none());
+    }
+
+    fn figure3_context(
+        threshold: u64,
+    ) -> (ts_storage::Database, ts_graph::DataGraph, ts_graph::SchemaGraph, crate::Catalog) {
+        let (db, g, schema) = ts_graph::fixtures::figure3();
+        let opts = crate::compute::ComputeOptions::with_l(3);
+        let (mut cat, _) = crate::compute::compute_catalog(&db, &g, &schema, &opts);
+        crate::prune::prune_catalog(&mut cat, crate::PruneOptions { threshold, max_pruned: 64 });
+        (db, g, schema, cat)
+    }
+
+    #[test]
+    fn selected_ids_answers_a_pk_pin_with_one_probe() {
+        use ts_exec::{set_engine, Engine};
+        use ts_graph::fixtures::PROTEIN;
+        let (db, g, schema, cat) = figure3_context(u64::MAX);
+        let ctx = QueryContext { db: &db, graph: &g, schema: &schema, catalog: &cat };
+        for engine in [Engine::Batch, Engine::Tuple] {
+            set_engine(engine);
+            for (id, want) in [(78i64, vec![78i64]), (79, vec![])] {
+                let work = Work::new();
+                let got = selected_ids(&ctx, PROTEIN, &Predicate::eq(0, id), &work);
+                assert_eq!(got.into_iter().collect::<Vec<_>>(), want, "{engine:?} id {id}");
+                assert_eq!(work.get(), 1, "{engine:?} id {id}");
+            }
+        }
+        set_engine(Engine::Batch);
+    }
+
+    #[test]
+    fn online_path_check_verdict_is_independent_of_walk_side() {
+        // Every pruned topology, every selection of no, one or all
+        // entities per side: walking out of E1 and out of E2 must agree.
+        // (78, 215) has a P-U-D path listed in the exception table, so a
+        // reverse walk that probed ExcpTops as (E2, E1) would disagree.
+        let (db, g, schema, cat) = figure3_context(0);
+        let ctx = QueryContext { db: &db, graph: &g, schema: &schema, catalog: &cat };
+        let selections = |es: u16| {
+            let (table, pk) = entity_table(&ctx, es);
+            let ids: Vec<i64> = table.rows().map(|r| r.as_int(pk)).collect();
+            let mut out: Vec<FastSet<i64>> =
+                vec![FastSet::default(), ids.iter().copied().collect()];
+            out.extend(ids.iter().map(|&id| std::iter::once(id).collect()));
+            out
+        };
+        let pruned: Vec<TopologyId> =
+            cat.metas().iter().filter(|m| m.pruned).map(|m| m.id).collect();
+        assert!(!pruned.is_empty(), "threshold 0 prunes the path topologies");
+        let (mut witnessed, mut blocked) = (0, 0);
+        for tid in pruned {
+            let espair = cat.meta(tid).espair;
+            for a in selections(espair.from) {
+                for b in selections(espair.to) {
+                    let from_e1 = path_witness(&ctx, tid, &a, &b, false, &Work::new());
+                    let from_e2 = path_witness(&ctx, tid, &a, &b, true, &Work::new());
+                    assert_eq!(from_e1, from_e2, "tid {tid}: A={a:?} B={b:?}");
+                    witnessed += usize::from(from_e1);
+                    let excepted =
+                        a.iter().any(|&x| b.iter().any(|&y| cat.excp_contains(x, y, tid)));
+                    blocked += usize::from(!from_e1 && a.len() == 1 && excepted);
+                }
+            }
+        }
+        assert!(witnessed > 0 && blocked > 0, "witnessed {witnessed}, blocked {blocked}");
     }
 }

@@ -21,7 +21,7 @@ use ts_exec::{
 use ts_storage::{Row, Table, Value};
 
 use crate::catalog::TopologyId;
-use crate::methods::common::{entity_table, orient, Oriented};
+use crate::methods::common::{entity_table, orient, pinned_id, Oriented};
 use crate::methods::{topk, EvalOutcome, Method, QueryContext};
 use crate::query::TopologyQuery;
 
@@ -116,12 +116,25 @@ pub fn run_et_plan(
 
     let winners = match plan {
         EtPlanKind::Idgj => {
-            // The IDGJ stack as one semi-join: each tops row probes its
-            // from-entity, then its to-entity, stopping at the first
+            // The IDGJ stack as one semi-join: each tops row probes the
+            // endpoint with the lower estimated selectivity first (a
+            // pinned one by comparing ids), stopping at the first
             // witness of each topology.
-            let from = Endpoint { table: from_table, col: 0, pred: o.con_from };
-            let to = Endpoint { table: to_table, col: 1, pred: o.con_to };
-            let mut stack = SemiDgj::new(topinfo, tops_table, 2, from, to, work.clone());
+            let from = Endpoint {
+                table: from_table,
+                col: 0,
+                pred: o.con_from,
+                pin: pinned_id(o.con_from, from_pk),
+            };
+            let to = Endpoint {
+                table: to_table,
+                col: 1,
+                pred: o.con_to,
+                pin: pinned_id(o.con_to, to_pk),
+            };
+            let rho = |e: &Endpoint<'_>| e.table.stats().map_or(1.0, |s| e.pred.selectivity(s));
+            let (first, second) = if rho(&to) < rho(&from) { (to, from) } else { (from, to) };
+            let mut stack = SemiDgj::new(topinfo, tops_table, 2, first, second, work.clone());
             collect_distinct_topk_budgeted(&mut stack, 0, k, work)
         }
         EtPlanKind::Hdgj => {

@@ -26,14 +26,15 @@ pub fn eval(ctx: &QueryContext<'_>, q: &TopologyQuery, work: Work) -> EvalOutcom
     let mut tids = full_top::distinct_tids(ctx, q, &ctx.catalog.lefttops, &work);
 
     // Lower sub-queries: one online path check per pruned topology of
-    // this espair.
-    let pruned: Vec<_> = ctx
+    // this espair, in id order.
+    let mut pruned: Vec<_> = ctx
         .catalog
-        .metas()
+        .ranked(q.scheme, o.espair)
         .iter()
-        .filter(|m| m.pruned && m.espair == o.espair)
-        .map(|m| m.id)
+        .copied()
+        .filter(|&tid| ctx.catalog.meta(tid).pruned)
         .collect();
+    pruned.sort_unstable();
     let n_pruned = pruned.len();
     if !pruned.is_empty() {
         let a_ids = selected_ids(ctx, o.espair.from, o.con_from, &work);

@@ -18,7 +18,7 @@ use std::time::Instant;
 use ts_exec::{collect_all_budgeted, BoxedOp, Distinct, HashJoin, TableScan, Work};
 use ts_storage::Predicate;
 
-use crate::methods::common::{entity_table, orient};
+use crate::methods::common::{entity_table, orient, selected_ids, selection_estimate};
 use crate::methods::{EvalOutcome, Method, QueryContext};
 use crate::query::TopologyQuery;
 
@@ -47,10 +47,13 @@ pub fn eval(ctx: &QueryContext<'_>, q: &TopologyQuery, work: Work) -> EvalOutcom
 ///
 /// * **hash plan** — scan the tops table, hash-join both selected entity
 ///   sides (good when predicates are unselective);
-/// * **index plan** — select the E1-side entities, probe the tops
-///   table's E1 index per selected entity, residual-check the E2 side
-///   ("the selective predicates enable Full-Top to scan only a small
-///   part of the AllTops table", §6.2.2).
+/// * **index plan** — select both sides' entities, probe the tops
+///   table's index on one side (E1 on col 0, E2 on col 1) per selected
+///   entity, residual-check the other side ("the selective predicates
+///   enable Full-Top to scan only a small part of the AllTops table",
+///   §6.2.2). The estimate costs both sides; once both σs are known,
+///   the side whose rid runs are shorter in total drives. A `pk = id`
+///   pin selects its side with one probe.
 pub(crate) fn distinct_tids(
     ctx: &QueryContext<'_>,
     q: &TopologyQuery,
@@ -62,30 +65,45 @@ pub(crate) fn distinct_tids(
     let (to_table, to_pk) = entity_table(ctx, o.espair.to);
 
     // Cost-based plan choice from catalog statistics.
-    let rho_from = from_table.stats().map(|s| o.con_from.selectivity(s)).unwrap_or(1.0);
-    let est_selected = rho_from * from_table.len() as f64;
+    let (from_cost, from_selected) = selection_estimate(ctx, o.espair.from, o.con_from);
+    let (to_cost, to_selected) = selection_estimate(ctx, o.espair.to, o.con_to);
     let rows = tops_table.len() as f64;
-    let distinct_e1 =
-        tops_table.stats().map(|s| s.distinct(0).max(1) as f64).unwrap_or(rows.max(1.0));
-    let est_index_cost =
-        from_table.len() as f64 + to_table.len() as f64 + est_selected * (1.0 + rows / distinct_e1);
+    // One index probe per selected entity, plus its average rid run.
+    let probe_cost = |col: usize, selected: f64| {
+        let distinct =
+            tops_table.stats().map(|s| s.distinct(col).max(1) as f64).unwrap_or(rows.max(1.0));
+        selected * (1.0 + rows / distinct)
+    };
+    let (by_from, by_to) = (probe_cost(0, from_selected), probe_cost(1, to_selected));
+    let est_index_cost = from_cost + to_cost + by_from.min(by_to);
     let est_hash_cost = rows + from_table.len() as f64 + to_table.len() as f64;
 
     let mut tids: Vec<crate::catalog::TopologyId> = if est_index_cost < est_hash_cost {
-        // Index plan: σ(from) drives E1-index probes into the tops table.
-        let a_ids = crate::methods::common::selected_ids(ctx, o.espair.from, o.con_from, work);
-        let b_ids = crate::methods::common::selected_ids(ctx, o.espair.to, o.con_to, work);
+        // Index plan: one side's σ drives index probes into the tops
+        // table; the other side is a residual check. The side estimated
+        // cheaper is looked up in full; the other only while its runs
+        // cost less, and it drives if it finishes under that bound.
+        let a_ids = selected_ids(ctx, o.espair.from, o.con_from, work);
+        let b_ids = selected_ids(ctx, o.espair.to, o.con_to, work);
+        let (mut drive, mut check, mut col) = (&a_ids, &b_ids, 0);
+        if by_to < by_from {
+            (drive, check, col) = (&b_ids, &a_ids, 1);
+        }
+        let (mut runs, cost) =
+            index_runs(tops_table, col, drive, usize::MAX, work).unwrap_or_default();
+        if let Some((other, _)) = index_runs(tops_table, 1 - col, check, cost, work) {
+            (runs, check, col) = (other, drive, 1 - col);
+        }
         let mut out = ts_storage::FastSet::default();
-        for &a in &a_ids {
+        for run in runs {
             if work.interrupted() {
                 break;
             }
-            work.tick(1); // index probe
-            for &rid in tops_table.index_probe(0, &ts_storage::Value::Int(a)) {
+            for &rid in run {
                 work.tick(1);
                 let row = tops_table.row(rid);
-                if b_ids.contains(&row.get(1).as_int()) {
-                    out.insert(row.get(2).as_int() as crate::catalog::TopologyId);
+                if check.contains(&row.as_int(1 - col)) {
+                    out.insert(row.as_int(2) as crate::catalog::TopologyId);
                 }
             }
         }
@@ -133,6 +151,32 @@ pub(crate) fn distinct_tids(
     tids.sort_unstable();
     tids.dedup();
     tids
+}
+
+/// The non-empty rid runs of `ids` in `tops`'s index on `col`, one
+/// metered lookup per id, with their cost (one unit per lookup plus one
+/// per rid). `None` as soon as the cost exceeds `bound`.
+fn index_runs<'t>(
+    tops: &'t ts_storage::Table,
+    col: usize,
+    ids: &ts_storage::FastSet<i64>,
+    bound: usize,
+    work: &Work,
+) -> Option<(Vec<&'t [u32]>, usize)> {
+    let mut runs = Vec::new();
+    let mut cost = 0usize;
+    for &id in ids {
+        work.tick(1); // index probe
+        let run = tops.index_probe(col, &ts_storage::Value::Int(id));
+        cost += 1 + run.len();
+        if cost > bound {
+            return None;
+        }
+        if !run.is_empty() {
+            runs.push(run);
+        }
+    }
+    Some((runs, cost))
 }
 
 #[cfg(test)]

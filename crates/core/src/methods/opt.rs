@@ -67,9 +67,11 @@ pub fn eval(
     let et_cost = et_stack_cost(&stack, q.k) + m;
 
     // Regular plan cost: the better of the hash plan (scan tops table +
-    // both entity selections) and the index-driven plan (selected E1
-    // entities probe the tops table's E1 index) — mirroring the plan
-    // choice inside `full_top::distinct_tids`.
+    // both entity selections) and an E1-driven index plan (selected E1
+    // entities probe the tops table's E1 index, after scanning both
+    // entity tables). This is coarser than `full_top::distinct_tids`,
+    // which also costs the E2-driven index plan and answers a pk pin
+    // with one probe; the model is kept as calibrated (ROADMAP).
     let tops_table = match variant {
         Variant::Full => &ctx.catalog.alltops,
         Variant::Fast => &ctx.catalog.lefttops,

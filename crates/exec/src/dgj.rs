@@ -345,13 +345,19 @@ pub struct Endpoint<'a> {
     pub col: usize,
     /// Predicate on the entity table's own columns.
     pub pred: &'a Predicate,
+    /// The one entity id `pred` admits, when it is a `pk = id` pin: a
+    /// tops row naming another id fails without a pk probe.
+    pub pin: Option<i64>,
 }
 
 impl Endpoint<'_> {
-    /// One pk probe: does the entity `tops_row` names exist and satisfy
-    /// the predicate?
+    /// One probe: does the entity `tops_row` names exist and satisfy the
+    /// predicate? A pinned endpoint first compares the id with its pin.
     fn admits(&self, tops_row: RowRef<'_>, work: &Work) -> bool {
         work.tick(1);
+        if self.pin.is_some_and(|id| tops_row.as_int(self.col) != id) {
+            return false;
+        }
         self.table.by_pk(&tops_row.get(self.col)).is_some_and(|r| self.pred.eval_ref(r))
     }
 }
@@ -362,22 +368,23 @@ impl Endpoint<'_> {
 ///
 /// For each group id pulled from `groups` (TopInfo in score order) it
 /// walks the group's borrowed rid run in the tops table's index on
-/// `group_col`; for each tops row it probes the `from` entity, then the
-/// `to` entity, by primary key and evaluates their predicates on the
-/// borrowed rows. The first row passing both is the group's witness: the
-/// operator emits the one-column row `[group]` and moves on, so it never
-/// examines a row past the witness and builds no joined tuples.
+/// `group_col`; for each tops row it probes the `first` endpoint, then
+/// the `second`, and evaluates their predicates on the borrowed rows.
+/// Callers pass the more selective endpoint first, so most rejected rows
+/// cost one probe. The first row passing both is the group's witness:
+/// the operator emits the one-column row `[group]` and moves on, so it
+/// never examines a row past the witness and builds no joined tuples.
 ///
 /// `Work`: one unit per group pulled, one per tops row examined, one per
-/// pk probe. Each emitted row is a whole group, so
+/// endpoint probe. Each emitted row is a whole group, so
 /// [`Operator::advance_to_next_group`] has nothing left to skip.
 pub struct SemiDgj<'a, I> {
     start: I,
     groups: I,
     tops: &'a Table,
     group_col: usize,
-    from: Endpoint<'a>,
-    to: Endpoint<'a>,
+    first: Endpoint<'a>,
+    second: Endpoint<'a>,
     work: Work,
 }
 
@@ -388,11 +395,11 @@ impl<'a, I: Iterator<Item = Value> + Clone> SemiDgj<'a, I> {
         groups: I,
         tops: &'a Table,
         group_col: usize,
-        from: Endpoint<'a>,
-        to: Endpoint<'a>,
+        first: Endpoint<'a>,
+        second: Endpoint<'a>,
         work: Work,
     ) -> Self {
-        SemiDgj { start: groups.clone(), groups, tops, group_col, from, to, work }
+        SemiDgj { start: groups.clone(), groups, tops, group_col, first, second, work }
     }
 }
 
@@ -414,7 +421,7 @@ impl<I: Iterator<Item = Value> + Clone> Operator for SemiDgj<'_, I> {
                 }
                 self.work.tick(1);
                 let r = self.tops.row(rid);
-                if self.from.admits(r, &self.work) && self.to.admits(r, &self.work) {
+                if self.first.admits(r, &self.work) && self.second.admits(r, &self.work) {
                     return Some(Row::new(vec![group]));
                 }
             }
@@ -962,8 +969,8 @@ mod tests {
         work: &Work,
     ) -> SemiDgj<'a, std::vec::IntoIter<Value>> {
         let groups = vec![Value::Int(100), Value::Int(200), Value::Int(300)];
-        let from = Endpoint { table: a, col: 0, pred };
-        let to = Endpoint { table: b, col: 1, pred };
+        let from = Endpoint { table: a, col: 0, pred, pin: None };
+        let to = Endpoint { table: b, col: 1, pred, pin: None };
         SemiDgj::new(groups.into_iter(), tops, 2, from, to, work.clone())
     }
 
@@ -991,6 +998,34 @@ mod tests {
         assert_eq!(top1, vec![row![100i64]]);
         // One group, one tops row, two pk probes.
         assert_eq!(w.get(), 4);
+    }
+
+    #[test]
+    fn semi_dgj_pinned_endpoint_emits_the_unpinned_groups() {
+        // Pin B to each id (and to one that does not exist), probed
+        // first or second: the groups must be exactly those of the
+        // unpinned, from-first probe order with the same predicate.
+        let (a, b, tops) = semi_fixture();
+        let groups = || vec![Value::Int(100), Value::Int(200), Value::Int(300)].into_iter();
+        let run = |first: Endpoint<'_>, second: Endpoint<'_>| {
+            let w = Work::new();
+            let mut j = SemiDgj::new(groups(), &tops, 2, first, second, w.clone());
+            let got: Vec<i64> = collect_all(&mut j).iter().map(|r| r.get(0).as_int()).collect();
+            (got, w.get())
+        };
+        let any = Predicate::True;
+        for id in [10i64, 20, 99] {
+            let pin = Predicate::eq(0, id);
+            let from = Endpoint { table: &a, col: 0, pred: &any, pin: None };
+            let unpinned = Endpoint { table: &b, col: 1, pred: &pin, pin: None };
+            let pinned = Endpoint { pin: Some(id), ..unpinned };
+            let (want, from_first_work) = run(from, unpinned);
+            assert_eq!(run(from, pinned).0, want, "pin {id} probed second");
+            let (got, work) = run(pinned, from);
+            assert_eq!(got, want, "pin {id} probed first");
+            // A row the pin rejects costs one probe instead of two.
+            assert!(work <= from_first_work, "pin {id}: {work} > {from_first_work}");
+        }
     }
 
     /// Minimal rewindable scan over a table for HDGJ inners in tests.

@@ -78,21 +78,25 @@ struct Harness {
     catalog: Catalog,
 }
 
+/// The entity-set pairs the harness catalogs cover, in a fixed order.
+fn espairs(ids: &ts_biozon::SchemaIds) -> [(u16, u16); 6] {
+    [
+        (ids.protein, ids.dna),
+        (ids.protein, ids.unigene),
+        (ids.protein, ids.interaction),
+        (ids.dna, ids.unigene),
+        (ids.dna, ids.interaction),
+        (ids.unigene, ids.interaction),
+    ]
+}
+
 fn harness(seed: u64, scale: f64, l: usize, threshold: u64) -> Harness {
     let mut cfg = ts_biozon::BiozonConfig::default().scaled(scale);
     cfg.seed = seed;
     let biozon = biozon::generate(&cfg);
     let graph = graph::DataGraph::from_db(&biozon.db).expect("generator is consistent");
     let schema = graph::SchemaGraph::from_db(&biozon.db);
-    let ids = &biozon.ids;
-    let pairs = vec![
-        EsPair::new(ids.protein, ids.dna),
-        EsPair::new(ids.protein, ids.unigene),
-        EsPair::new(ids.protein, ids.interaction),
-        EsPair::new(ids.dna, ids.unigene),
-        EsPair::new(ids.dna, ids.interaction),
-        EsPair::new(ids.unigene, ids.interaction),
-    ];
+    let pairs = espairs(&biozon.ids).map(|(a, b)| EsPair::new(a, b)).to_vec();
     let opts = ComputeOptions { es_pairs: Some(pairs), ..ComputeOptions::with_l(l) };
     let (mut catalog, _) = compute_catalog(&biozon.db, &graph, &schema, &opts);
     prune_catalog(&mut catalog, PruneOptions { threshold, max_pruned: 32 });
@@ -159,14 +163,7 @@ fn assert_topk_prefix(
 /// The 60-query grid: 20 seeded random queries, each under all three
 /// rank schemes (query-major).
 fn grid(ids: &ts_biozon::SchemaIds) -> Vec<TopologyQuery> {
-    let espairs = [
-        (ids.protein, ids.dna),
-        (ids.protein, ids.unigene),
-        (ids.protein, ids.interaction),
-        (ids.dna, ids.unigene),
-        (ids.dna, ids.interaction),
-        (ids.unigene, ids.interaction),
-    ];
+    let espairs = espairs(ids);
     let ks = [1usize, 2, 3, 5, 10, 1_000];
     let mut rng = Rng(0xB10_0B0E);
     let mut out = Vec::with_capacity(60);
@@ -406,6 +403,84 @@ fn opt_choices_on_the_grid_are_unchanged() {
         }
     }
     assert_eq!(got, OPT_CHOICES);
+}
+
+#[test]
+fn nine_methods_agree_on_pk_pinned_queries() {
+    // Pin each side of each harness pair to its highest-degree entity,
+    // a seeded one and an id that does not exist; constrain the other
+    // side from the grid's choices. SQL, which reads no tops table, is
+    // the reference; the mirrored query (sides swapped) must return the
+    // same answer; and Full-Top's index plan, driven from the pinned
+    // side whichever it is, must read less than the whole tops table.
+    let h = harness(1, 0.12, 2, 3);
+    let ids = &h.biozon.ids;
+    let db = &h.biozon.db;
+    let ctx = QueryContext { db, graph: &h.graph, schema: &h.schema, catalog: &h.catalog };
+    let tops_rows = h.catalog.alltops.len() as u64;
+    let ks = [1usize, 2, 3, 5, 10, 1_000];
+    let mut rng = Rng(0x5EED_0013);
+    let (mut queries, mut nonempty) = (0usize, 0usize);
+    for (es_a, es_b) in espairs(ids) {
+        for (pinned_es, other_es, pin_first) in [(es_a, es_b, true), (es_b, es_a, false)] {
+            let table = db.table(db.entity_set(pinned_es as usize).table);
+            let pk = table.schema().primary_key.expect("entity sets have primary keys");
+            let entities: Vec<i64> = table.rows().map(|r| r.as_int(pk)).collect();
+            let degree =
+                |id: i64| h.graph.node(pinned_es, id).map_or(0, |n| h.graph.neighbors(n).len());
+            let hub = *entities.iter().max_by_key(|&&id| (degree(id), -id)).expect("non-empty");
+            let seeded = entities[rng.below(entities.len())];
+            let missing = entities.iter().max().expect("non-empty") + 1;
+            for id in [hub, seeded, missing] {
+                let pin = Predicate::eq(pk, id);
+                let other = random_predicate(other_es, ids, &mut rng);
+                let k = ks[rng.below(ks.len())];
+                let pin_es1 =
+                    TopologyQuery::new(pinned_es, pin.clone(), other_es, other.clone(), 2);
+                let pin_es2 = TopologyQuery::new(other_es, other, pinned_es, pin, 2);
+                let (q, mirror) = if pin_first { (pin_es1, pin_es2) } else { (pin_es2, pin_es1) };
+                let sql = Method::Sql.eval(&ctx, &q).tid_set();
+                queries += 1;
+                nonempty += usize::from(!sql.is_empty());
+                for scheme in RankScheme::all() {
+                    let (q, mirror) = (
+                        q.clone().with_k(k).with_scheme(scheme),
+                        mirror.clone().with_k(k).with_scheme(scheme),
+                    );
+                    let label =
+                        format!("pin {pinned_es}={id} against {other_es} ({scheme}, k={k})");
+                    let mut full: Vec<(TopologyId, f64)> = sql
+                        .iter()
+                        .map(|&t| (t, h.catalog.meta(t).scores[scheme.index()]))
+                        .collect();
+                    full.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+                    for m in Method::all() {
+                        let got = m.eval(&ctx, &q);
+                        let label = format!("{label} {}", m.name());
+                        assert_eq!(
+                            got.topologies,
+                            m.eval(&ctx, &mirror).topologies,
+                            "{label}: mirrored query"
+                        );
+                        if m.is_topk() {
+                            assert_topk_prefix(&label, &got.topologies, &full, k);
+                        } else {
+                            assert_eq!(got.tid_set(), sql, "{label}: disagrees with SQL");
+                        }
+                        if m == Method::FullTop {
+                            assert!(
+                                got.work < tops_rows,
+                                "{label}: work {} >= {tops_rows}",
+                                got.work
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(queries, 36);
+    assert!(nonempty >= queries / 3, "only {nonempty}/{queries} pinned queries have topologies");
 }
 
 #[test]
