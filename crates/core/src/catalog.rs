@@ -53,6 +53,55 @@ impl EsPair {
     }
 }
 
+/// One of the two topology-pairs tables the regular and ET plans read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Tops {
+    /// AllTops: every (E1, E2, TID) row.
+    All,
+    /// LeftTops: AllTops minus the pruned topologies' rows.
+    Left,
+}
+
+/// The shape of one espair's rid runs in a tops table's TID index: how
+/// many topologies have rows, how many rows they hold, and a log2
+/// histogram of run lengths. Plan costing reads it instead of walking
+/// every topology's metadata per query.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct RunStats {
+    /// Topologies with at least one row.
+    pub(crate) topologies: u64,
+    /// Rows over all of them.
+    pub(crate) rows: u64,
+    /// `buckets[b] = (runs, rows)` of the runs of length in `[2^b, 2^(b+1))`.
+    buckets: Vec<(u64, u64)>,
+}
+
+impl RunStats {
+    fn add(&mut self, run: u64) {
+        if run == 0 {
+            return;
+        }
+        let b = run.ilog2() as usize;
+        if self.buckets.len() <= b {
+            self.buckets.resize(b + 1, (0, 0));
+        }
+        self.buckets[b].0 += 1;
+        self.buckets[b].1 += run;
+        self.topologies += 1;
+        self.rows += run;
+    }
+
+    /// `Σ_t min(run_t, cap)`: exact for the buckets wholly below or above
+    /// `cap`; the bucket `cap` falls in contributes `min(rows, runs·cap)`.
+    pub(crate) fn capped_rows(&self, cap: f64) -> f64 {
+        self.buckets.iter().map(|&(runs, rows)| (rows as f64).min(runs as f64 * cap)).sum()
+    }
+
+    fn heap_size(&self) -> usize {
+        self.buckets.len() * std::mem::size_of::<(u64, u64)>()
+    }
+}
+
 /// Everything the catalog knows about one topology.
 #[derive(Debug, Clone)]
 pub struct TopologyMeta {
@@ -165,6 +214,10 @@ pub struct Catalog {
     /// Each espair's run in the `ranking` vectors: `(espair, start)`,
     /// sorted by espair; a run ends where the next one starts.
     rank_runs: Vec<(EsPair, u32)>,
+    /// Per [`Tops`] table, each espair's [`RunStats`], sorted by espair.
+    /// Rebuilt at [`Catalog::finalize`] and by pruning, which rewrites
+    /// LeftTops.
+    run_stats: [Vec<(EsPair, RunStats)>; 2],
     finalized: bool,
 }
 
@@ -201,6 +254,7 @@ impl Catalog {
             excptops: Table::new(tops_schema("ExcpTops")),
             ranking: [Vec::new(), Vec::new(), Vec::new()],
             rank_runs: Vec::new(),
+            run_stats: [Vec::new(), Vec::new()],
             finalized: false,
         }
     }
@@ -417,10 +471,17 @@ impl Catalog {
                 + self.codes.iter().map(|c| c.0.len() * size_of::<u32>()).sum::<usize>();
         let ranking = self.ranking.iter().map(|r| r.len() * size_of::<TopologyId>()).sum::<usize>()
             + self.rank_runs.len() * size_of::<(EsPair, u32)>();
+        let run_stats: usize = self
+            .run_stats
+            .iter()
+            .flatten()
+            .map(|(_, s)| size_of::<(EsPair, RunStats)>() + s.heap_size())
+            .sum();
         self.pair_bytes()
             + metas
             + interners
             + ranking
+            + run_stats
             + self.alltops.heap_size()
             + self.lefttops.heap_size()
             + self.excptops.heap_size()
@@ -497,6 +558,53 @@ impl Catalog {
         self.excptops.create_index_bulk(0);
         self.excptops.analyze();
         self.rank();
+        self.summarize_runs();
+    }
+
+    /// The AllTops or LeftTops table.
+    pub(crate) fn tops(&self, tops: Tops) -> &Table {
+        match tops {
+            Tops::All => &self.alltops,
+            Tops::Left => &self.lefttops,
+        }
+    }
+
+    /// Rows per topology of `espair` in `tops` (a pruned topology has
+    /// none in LeftTops); `None` for an espair without topologies.
+    pub(crate) fn run_stats(&self, tops: Tops, espair: EsPair) -> Option<&RunStats> {
+        let stats = &self.run_stats[tops as usize];
+        let i = stats.binary_search_by_key(&espair, |&(p, _)| p).ok()?;
+        Some(&stats[i].1)
+    }
+
+    /// Rows of `tops` whose column `col` (0 = E1, 1 = E2) names an
+    /// entity of set `es`: what the index on `col` holds for that set,
+    /// summed over every espair it sits on that side of.
+    pub(crate) fn side_rows(&self, tops: Tops, col: usize, es: u16) -> u64 {
+        let side = |p: EsPair| if col == 0 { p.from } else { p.to };
+        self.run_stats[tops as usize]
+            .iter()
+            .filter(|(p, _)| side(*p) == es)
+            .map(|(_, s)| s.rows)
+            .sum()
+    }
+
+    /// Rebuild [`Catalog::run_stats`] from the frequencies and pruned
+    /// flags: a topology's AllTops run is its frequency, and its
+    /// LeftTops run the same unless it is pruned.
+    pub(crate) fn summarize_runs(&mut self) {
+        for tops in [Tops::All, Tops::Left] {
+            let mut out = Vec::with_capacity(self.rank_runs.len());
+            for &(espair, _) in &self.rank_runs {
+                let mut s = RunStats::default();
+                for &tid in self.ranked(RankScheme::Freq, espair) {
+                    let m = &self.metas[tid as usize];
+                    s.add(if tops == Tops::Left && m.pruned { 0 } else { m.freq });
+                }
+                out.push((espair, s));
+            }
+            self.run_stats[tops as usize] = out;
+        }
     }
 
     /// All topology metadata.

@@ -1,13 +1,15 @@
 //! Shared plumbing for the evaluation strategies.
 
-use ts_exec::Work;
+use std::cell::OnceCell;
+
+use ts_exec::{Endpoint, Work};
 use ts_graph::PathSig;
 use ts_storage::FastSet;
 use ts_storage::{Predicate, Table, Value};
 
-use crate::catalog::{EsPair, TopologyId};
+use crate::catalog::{Catalog, EsPair, TopologyId, Tops};
 use crate::methods::QueryContext;
-use crate::query::TopologyQuery;
+use crate::query::{RankScheme, TopologyQuery};
 
 /// The query oriented to the catalog's normalized espair: constraints
 /// for the `from` side and the `to` side of stored (E1, E2) pairs.
@@ -48,14 +50,109 @@ pub fn pinned_id(con: &Predicate, pk: usize) -> Option<i64> {
     }
 }
 
+/// Estimated selectivity of `con` over `table`, from its statistics.
+fn selectivity(table: &Table, con: &Predicate) -> f64 {
+    table.stats().map_or(1.0, |s| con.selectivity(s))
+}
+
 /// Estimated `(cost, rows)` of σ_con over entity set `es`: one pk probe
 /// for a pin, a full scan otherwise; rows from the table statistics.
 pub fn selection_estimate(ctx: &QueryContext<'_>, es: u16, con: &Predicate) -> (f64, f64) {
     let (table, pk) = entity_table(ctx, es);
     let n = table.len() as f64;
-    let rho = table.stats().map_or(1.0, |s| con.selectivity(s));
     let cost = if pinned_id(con, pk).is_some() { 1.0 } else { n };
-    (cost, rho * n)
+    (cost, selectivity(table, con) * n)
+}
+
+/// The two endpoints of one evaluation, with each side's σ computed at
+/// most once: the first plan step that needs a side's selected ids
+/// scans for them (or probes a pin), and every later step of the same
+/// evaluation (an index plan's residual check, Fast-Top's online
+/// checks, the gated pruned checks) reuses the set. Side `0` is the
+/// catalog's E1 (`espair.from`, tops column 0), side `1` is E2.
+pub struct Selections<'a> {
+    ctx: &'a QueryContext<'a>,
+    q: &'a TopologyQuery,
+    /// The query oriented to catalog storage order.
+    pub(crate) o: Oriented<'a>,
+    ids: [OnceCell<FastSet<i64>>; 2],
+}
+
+impl<'a> Selections<'a> {
+    /// Nothing selected yet.
+    pub fn new(ctx: &'a QueryContext<'a>, q: &'a TopologyQuery) -> Self {
+        Selections { ctx, q, o: orient(q), ids: [OnceCell::new(), OnceCell::new()] }
+    }
+
+    /// The context the query runs in.
+    pub(crate) fn ctx(&self) -> &'a QueryContext<'a> {
+        self.ctx
+    }
+
+    /// The query.
+    pub(crate) fn query(&self) -> &'a TopologyQuery {
+        self.q
+    }
+
+    /// Entity set and constraint of side `side`.
+    pub(crate) fn side(&self, side: usize) -> (u16, &'a Predicate) {
+        if side == 0 {
+            (self.o.espair.from, self.o.con_from)
+        } else {
+            (self.o.espair.to, self.o.con_to)
+        }
+    }
+
+    /// Estimated selectivity of side `side`'s constraint.
+    pub(crate) fn rho(&self, side: usize) -> f64 {
+        let (es, con) = self.side(side);
+        selectivity(entity_table(self.ctx, es).0, con)
+    }
+
+    /// Side `side`'s selected entity ids, selected on first use.
+    pub(crate) fn ids(&self, side: usize, work: &Work) -> &FastSet<i64> {
+        let (es, con) = self.side(side);
+        self.ids[side].get_or_init(|| selected_ids(self.ctx, es, con, work))
+    }
+
+    /// True once side `side` has been selected.
+    pub(crate) fn has_ids(&self, side: usize) -> bool {
+        self.ids[side].get().is_some()
+    }
+
+    /// Side `side` as a semi-join endpoint: its entity table probed by
+    /// primary key with tops column `side`.
+    pub(crate) fn endpoint(&self, side: usize) -> Endpoint<'a> {
+        let (es, con) = self.side(side);
+        let (table, pk) = entity_table(self.ctx, es);
+        Endpoint { table, col: side, pred: con, pin: pinned_id(con, pk) }
+    }
+
+    /// Both endpoints, the one with the lower estimated selectivity
+    /// first, so most rejected tops rows cost one probe.
+    pub(crate) fn probe_order(&self) -> (Endpoint<'a>, Endpoint<'a>) {
+        if self.rho(1) < self.rho(0) {
+            (self.endpoint(1), self.endpoint(0))
+        } else {
+            (self.endpoint(0), self.endpoint(1))
+        }
+    }
+}
+
+/// TopInfo of `espair` in `scheme`'s score order, as the group ids a
+/// [`ts_exec::SemiDgj`] pulls: every topology with rows in `tops` (on
+/// LeftTops the pruned ones, which have none, are skipped).
+pub(crate) fn topinfo(
+    catalog: &Catalog,
+    scheme: RankScheme,
+    espair: EsPair,
+    tops: Tops,
+) -> impl Iterator<Item = Value> + Clone + '_ {
+    catalog
+        .ranked(scheme, espair)
+        .iter()
+        .filter(move |&&tid| !(tops == Tops::Left && catalog.meta(tid).pruned))
+        .map(|&tid| Value::Int(i64::from(tid)))
 }
 
 /// Entity ids of `es` satisfying `con` — the σ of the paper's plans. A

@@ -15,13 +15,12 @@
 use std::time::Instant;
 
 use ts_exec::{
-    collect_distinct_topk_budgeted, BoxedOp, Endpoint, Hdgj, Idgj, SemiDgj, TableScan, ValuesScan,
-    Work,
+    collect_distinct_topk_budgeted, BoxedOp, Hdgj, Idgj, SemiDgj, TableScan, ValuesScan, Work,
 };
-use ts_storage::{Row, Table, Value};
+use ts_storage::{Row, Table};
 
-use crate::catalog::TopologyId;
-use crate::methods::common::{entity_table, orient, pinned_id, Oriented};
+use crate::catalog::{TopologyId, Tops};
+use crate::methods::common::{entity_table, topinfo, Oriented, Selections};
 use crate::methods::{topk, EvalOutcome, Method, QueryContext};
 use crate::query::TopologyQuery;
 
@@ -56,18 +55,16 @@ pub fn eval(
     // lint: allow(nondeterministic-source): wall-clock timing statistic only;
     // it lands in the outcome's millis field and never reaches catalog bytes
     let start = Instant::now();
-    let o = orient(q);
-
-    let table = match variant {
-        Variant::Full => &ctx.catalog.alltops,
-        Variant::Fast => &ctx.catalog.lefttops,
+    let sel = Selections::new(ctx, q);
+    let tops = match variant {
+        Variant::Full => Tops::All,
+        Variant::Fast => Tops::Left,
     };
-    let skip_pruned = variant == Variant::Fast;
-    let mut results = run_et_plan(ctx, q, table, skip_pruned, plan, q.k, &work);
+    let mut results = run_et_plan(&sel, tops, plan, q.k, &work);
 
     let mut gated = 0usize;
     if variant == Variant::Fast {
-        gated = topk::gate_pruned(ctx, q, &o, &mut results, &work);
+        gated = topk::gate_pruned(&sel, &mut results, &work);
     }
 
     EvalOutcome {
@@ -84,35 +81,28 @@ pub fn eval(
                 EtPlanKind::Idgj => "IDGJ",
                 EtPlanKind::Hdgj => "HDGJ",
             },
-            table.schema().name
+            ctx.catalog.tops(tops).schema().name
         ),
         exhausted: work.exhausted(),
     }
 }
 
-/// Build and drive the DGJ stack, returning up to `k` `(tid, score)` in
-/// score order.
+/// Build and drive the DGJ stack over `tops`, returning up to `k`
+/// `(tid, score)` in score order.
 pub fn run_et_plan(
-    ctx: &QueryContext<'_>,
-    q: &TopologyQuery,
-    tops_table: &Table,
-    skip_pruned: bool,
+    sel: &Selections<'_>,
+    tops: Tops,
     plan: EtPlanKind,
     k: usize,
     work: &Work,
 ) -> Vec<(TopologyId, f64)> {
-    let o = orient(q);
+    let (ctx, q, o) = (sel.ctx(), sel.query(), &sel.o);
     let catalog = ctx.catalog;
-    let (from_table, from_pk) = entity_table(ctx, o.espair.from);
-    let (to_table, to_pk) = entity_table(ctx, o.espair.to);
+    let tops_table = catalog.tops(tops);
 
     // TopInfo in score order (the index scan at the bottom of Fig. 15),
     // borrowed from the catalog. Pruned topologies have no LeftTops rows.
-    let topinfo = catalog
-        .ranked(q.scheme, o.espair)
-        .iter()
-        .filter(move |&&tid| !(skip_pruned && catalog.meta(tid).pruned))
-        .map(|&tid| Value::Int(i64::from(tid)));
+    let topinfo = topinfo(catalog, q.scheme, o.espair, tops);
 
     let winners = match plan {
         EtPlanKind::Idgj => {
@@ -120,26 +110,15 @@ pub fn run_et_plan(
             // endpoint with the lower estimated selectivity first (a
             // pinned one by comparing ids), stopping at the first
             // witness of each topology.
-            let from = Endpoint {
-                table: from_table,
-                col: 0,
-                pred: o.con_from,
-                pin: pinned_id(o.con_from, from_pk),
-            };
-            let to = Endpoint {
-                table: to_table,
-                col: 1,
-                pred: o.con_to,
-                pin: pinned_id(o.con_to, to_pk),
-            };
-            let rho = |e: &Endpoint<'_>| e.table.stats().map_or(1.0, |s| e.pred.selectivity(s));
-            let (first, second) = if rho(&to) < rho(&from) { (to, from) } else { (from, to) };
+            let (first, second) = sel.probe_order();
             let mut stack = SemiDgj::new(topinfo, tops_table, 2, first, second, work.clone());
             collect_distinct_topk_budgeted(&mut stack, 0, k, work)
         }
         EtPlanKind::Hdgj => {
             let rows: Vec<Row> = topinfo.map(|tid| Row::new(vec![tid])).collect();
-            hdgj_plan(rows, tops_table, (from_table, from_pk), (to_table, to_pk), &o, k, work)
+            let from = entity_table(ctx, o.espair.from);
+            let to = entity_table(ctx, o.espair.to);
+            hdgj_plan(rows, tops_table, from, to, o, k, work)
         }
     };
     let scheme = q.scheme.index();

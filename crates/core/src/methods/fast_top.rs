@@ -11,7 +11,8 @@ use std::time::Instant;
 
 use ts_exec::Work;
 
-use crate::methods::common::{online_path_check, orient, selected_ids};
+use crate::catalog::Tops;
+use crate::methods::common::{online_path_check, Selections};
 use crate::methods::{full_top, EvalOutcome, Method, QueryContext};
 use crate::query::TopologyQuery;
 
@@ -20,16 +21,16 @@ pub fn eval(ctx: &QueryContext<'_>, q: &TopologyQuery, work: Work) -> EvalOutcom
     // lint: allow(nondeterministic-source): wall-clock timing statistic only;
     // it lands in the outcome's millis field and never reaches catalog bytes
     let start = Instant::now();
-    let o = orient(q);
+    let sel = Selections::new(ctx, q);
 
     // Top sub-query: unpruned topologies from LeftTops.
-    let mut tids = full_top::distinct_tids(ctx, q, &ctx.catalog.lefttops, &work);
+    let (mut tids, plan) = full_top::distinct_tids(&sel, Tops::Left, &work);
 
     // Lower sub-queries: one online path check per pruned topology of
-    // this espair, in id order.
+    // this espair, in id order, over the σs the top sub-query shares.
     let mut pruned: Vec<_> = ctx
         .catalog
-        .ranked(q.scheme, o.espair)
+        .ranked(q.scheme, sel.o.espair)
         .iter()
         .copied()
         .filter(|&tid| ctx.catalog.meta(tid).pruned)
@@ -37,13 +38,12 @@ pub fn eval(ctx: &QueryContext<'_>, q: &TopologyQuery, work: Work) -> EvalOutcom
     pruned.sort_unstable();
     let n_pruned = pruned.len();
     if !pruned.is_empty() {
-        let a_ids = selected_ids(ctx, o.espair.from, o.con_from, &work);
-        let b_ids = selected_ids(ctx, o.espair.to, o.con_to, &work);
+        let (a_ids, b_ids) = (sel.ids(0, &work), sel.ids(1, &work));
         for tid in pruned {
             if work.interrupted() {
                 break;
             }
-            if online_path_check(ctx, tid, &a_ids, &b_ids, &work) {
+            if online_path_check(ctx, tid, a_ids, b_ids, &work) {
                 tids.push(tid);
             }
         }
@@ -56,7 +56,7 @@ pub fn eval(ctx: &QueryContext<'_>, q: &TopologyQuery, work: Work) -> EvalOutcom
         topologies: tids.into_iter().map(|t| (t, 0.0)).collect(),
         work: work.get(),
         wall_ms: start.elapsed().as_secs_f64() * 1e3,
-        detail: format!("LeftTops join UNION {n_pruned} online path checks"),
+        detail: format!("{plan} plan over LeftTops UNION {n_pruned} online path checks"),
         exhausted: work.exhausted(),
     }
 }
@@ -135,7 +135,10 @@ mod tests {
         let ctx = QueryContext { db: &db, graph: &g, schema: &schema, catalog: &cat };
         let q = TopologyQuery::new(PROTEIN, Predicate::True, DNA, Predicate::True, 3);
         let out = eval(&ctx, &q, Work::new());
-        assert!(out.detail.contains("online path checks"));
-        assert!(out.detail.contains('2'), "two P-D path topologies pruned: {}", out.detail);
+        assert!(
+            out.detail.contains("UNION 2 online path checks"),
+            "two P-D path topologies pruned: {}",
+            out.detail
+        );
     }
 }

@@ -9,16 +9,40 @@
 //!   and P.ID = AT.E1 and D.ID = AT.E2
 //! ```
 //!
-//! executed here as the plan the commercial systems chose (Fig. 14):
-//! scan AllTops, hash-join with the selected E1-side entities, hash-join
-//! with the selected E2-side entities, distinct on TID.
+//! [`distinct_tids`] answers this `SELECT DISTINCT TID` for Full-Top,
+//! Fast-Top (over LeftTops) and both `*-Top-k` methods with one of two
+//! physical plans, picked before any σ runs by the [`PlanCosts`]
+//! estimate of each plan's `Work` from catalog statistics:
+//!
+//! * **index** ([`index_plan`]) — select one side, probe the tops
+//!   table's index on it (E1 on col 0, E2 on col 1) per selected entity,
+//!   and check the other side of each row read: by one pk probe per row
+//!   while the rows are fewer than that side's σ costs, else against its
+//!   σ ("the selective predicates enable Full-Top to scan only a small
+//!   part of the AllTops table", §6.2.2);
+//! * **semi** ([`semi_plan`]) — the DGJ insight of §5.3 applied to the
+//!   complete answer: walk the espair's topologies, probe each one's
+//!   rows through the TID index, and stop at its first witness. It runs
+//!   the same engine-independent [`SemiDgj`] as the ET plans, with no σ
+//!   at all.
+//!
+//! [`hash_plan`], the plan the commercial systems chose (Fig. 14: scan
+//! the whole tops table, keep rows whose E1 and E2 are both selected),
+//! is kept as the reference the other plans are tested against. It is
+//! never picked: with unselective predicates the semi plan reads about
+//! one row per topology, with selective ones an index plan reads only
+//! the selected entities' runs, and both beat a full scan.
+//!
+//! A side's σ is computed at most once per evaluation ([`Selections`]),
+//! so Fast-Top's online checks and the gated pruned checks reuse it.
 
 use std::time::Instant;
 
-use ts_exec::{collect_all_budgeted, BoxedOp, Distinct, HashJoin, TableScan, Work};
-use ts_storage::Predicate;
+use ts_exec::{SemiDgj, Work};
+use ts_storage::{FastSet, RowRef, Table, Value};
 
-use crate::methods::common::{entity_table, orient, selected_ids, selection_estimate};
+use crate::catalog::{TopologyId, Tops};
+use crate::methods::common::{selection_estimate, topinfo, Selections};
 use crate::methods::{EvalOutcome, Method, QueryContext};
 use crate::query::TopologyQuery;
 
@@ -27,139 +51,203 @@ pub fn eval(ctx: &QueryContext<'_>, q: &TopologyQuery, work: Work) -> EvalOutcom
     // lint: allow(nondeterministic-source): wall-clock timing statistic only;
     // it lands in the outcome's millis field and never reaches catalog bytes
     let start = Instant::now();
-    let tids = distinct_tids(ctx, q, &ctx.catalog.alltops, &work);
+    let (tids, plan) = distinct_tids(&Selections::new(ctx, q), Tops::All, &work);
     EvalOutcome {
         method: Method::FullTop,
         topologies: tids.into_iter().map(|t| (t, 0.0)).collect(),
         work: work.get(),
         wall_ms: start.elapsed().as_secs_f64() * 1e3,
-        detail: "DISTINCT(HASH(HASH(AllTops, σE1), σE2)).TID".into(),
+        detail: format!("DISTINCT TID over AllTops: {plan} plan"),
         exhausted: work.exhausted(),
     }
 }
 
-/// The shared join pipeline over a topology-pairs table (AllTops for
-/// Full-Top, LeftTops for Fast-Top): distinct TIDs of rows whose E1/E2
-/// entities satisfy the oriented constraints.
-///
-/// Two physical plans, chosen by estimated cost as the commercial
-/// optimizers of Fig. 14 would:
-///
-/// * **hash plan** — scan the tops table, hash-join both selected entity
-///   sides (good when predicates are unselective);
-/// * **index plan** — select both sides' entities, probe the tops
-///   table's index on one side (E1 on col 0, E2 on col 1) per selected
-///   entity, residual-check the other side ("the selective predicates
-///   enable Full-Top to scan only a small part of the AllTops table",
-///   §6.2.2). The estimate costs both sides; once both σs are known,
-///   the side whose rid runs are shorter in total drives. A `pk = id`
-///   pin selects its side with one probe.
+/// The physical plan behind a [`distinct_tids`] call.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Plan {
+    /// [`index_plan`] driven from tops column `0` (E1) or `1` (E2).
+    Index(usize),
+    /// [`semi_plan`].
+    Semi,
+}
+
+impl std::fmt::Display for Plan {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Plan::Index(col) => write!(f, "index-E{}", col + 1),
+            Plan::Semi => write!(f, "semi"),
+        }
+    }
+}
+
+/// Estimated `Work` of each [`Plan`] for one query over one tops table,
+/// from statistics alone (entity-table selectivities, the catalog's
+/// per-espair run-length histograms); it mirrors how each plan meters.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PlanCosts {
+    /// Driven from side 0 / side 1: the driving σ, one probe per
+    /// selected entity, one unit per row of its runs (`ρ` times the rows
+    /// its entity set holds in that column), and the cheaper residual
+    /// check (the other σ, or one pk probe per run row).
+    index: [f64; 2],
+    /// `T + Σ_t min(run_t, 1/(ρ_from·ρ_to))·(2 + ρ_first)` over the
+    /// espair's `T` topologies with rows: one unit per topology, and per
+    /// row read before the expected first witness one unit, one probe of
+    /// the more selective endpoint and, when it admits, one of the other.
+    semi: f64,
+}
+
+impl PlanCosts {
+    /// Estimate every plan of `sel`'s query over `tops`.
+    pub fn estimate(sel: &Selections<'_>, tops: Tops) -> PlanCosts {
+        let ctx = sel.ctx();
+        let catalog = ctx.catalog;
+        let sides = [0, 1].map(|side| {
+            let (es, con) = sel.side(side);
+            let (sigma, selected) = selection_estimate(ctx, es, con);
+            let rho = sel.rho(side).clamp(0.0, 1.0);
+            (sigma, selected, rho * catalog.side_rows(tops, side, es) as f64, rho)
+        });
+        let index = [0, 1].map(|side| {
+            let (sigma, selected, run_rows, _) = sides[side];
+            sigma + selected + run_rows + sides[1 - side].0.min(run_rows)
+        });
+        let (rho_from, rho_to) = (sides[0].3, sides[1].3);
+        let semi = catalog.run_stats(tops, sel.o.espair).map_or(0.0, |runs| {
+            let cap = 1.0 / (rho_from * rho_to).max(1e-12);
+            runs.topologies as f64 + runs.capped_rows(cap) * (2.0 + rho_from.min(rho_to))
+        });
+        PlanCosts { index, semi }
+    }
+
+    /// The cheapest plan and its estimate.
+    pub fn best(&self) -> (Plan, f64) {
+        [(Plan::Index(0), self.index[0]), (Plan::Index(1), self.index[1]), (Plan::Semi, self.semi)]
+            .into_iter()
+            .fold((Plan::Semi, f64::INFINITY), |best, c| if c.1 < best.1 { c } else { best })
+    }
+}
+
+/// The shared `SELECT DISTINCT TID` over a topology-pairs table (AllTops
+/// for Full-Top, LeftTops for Fast-Top): the sorted distinct TIDs of rows
+/// whose E1/E2 entities satisfy the oriented constraints, by the plan
+/// [`PlanCosts`] estimates cheapest, which it also returns.
 pub(crate) fn distinct_tids(
-    ctx: &QueryContext<'_>,
-    q: &TopologyQuery,
-    tops_table: &ts_storage::Table,
+    sel: &Selections<'_>,
+    tops: Tops,
     work: &Work,
-) -> Vec<crate::catalog::TopologyId> {
-    let o = orient(q);
-    let (from_table, from_pk) = entity_table(ctx, o.espair.from);
-    let (to_table, to_pk) = entity_table(ctx, o.espair.to);
-
-    // Cost-based plan choice from catalog statistics.
-    let (from_cost, from_selected) = selection_estimate(ctx, o.espair.from, o.con_from);
-    let (to_cost, to_selected) = selection_estimate(ctx, o.espair.to, o.con_to);
-    let rows = tops_table.len() as f64;
-    // One index probe per selected entity, plus its average rid run.
-    let probe_cost = |col: usize, selected: f64| {
-        let distinct =
-            tops_table.stats().map(|s| s.distinct(col).max(1) as f64).unwrap_or(rows.max(1.0));
-        selected * (1.0 + rows / distinct)
-    };
-    let (by_from, by_to) = (probe_cost(0, from_selected), probe_cost(1, to_selected));
-    let est_index_cost = from_cost + to_cost + by_from.min(by_to);
-    let est_hash_cost = rows + from_table.len() as f64 + to_table.len() as f64;
-
-    let mut tids: Vec<crate::catalog::TopologyId> = if est_index_cost < est_hash_cost {
-        // Index plan: one side's σ drives index probes into the tops
-        // table; the other side is a residual check. The side estimated
-        // cheaper is looked up in full; the other only while its runs
-        // cost less, and it drives if it finishes under that bound.
-        let a_ids = selected_ids(ctx, o.espair.from, o.con_from, work);
-        let b_ids = selected_ids(ctx, o.espair.to, o.con_to, work);
-        let (mut drive, mut check, mut col) = (&a_ids, &b_ids, 0);
-        if by_to < by_from {
-            (drive, check, col) = (&b_ids, &a_ids, 1);
+) -> (Vec<TopologyId>, Plan) {
+    match PlanCosts::estimate(sel, tops).best().0 {
+        Plan::Index(col) => {
+            let (tids, drove) = index_plan(sel, tops, col, work);
+            (tids, Plan::Index(drove))
         }
-        let (mut runs, cost) =
-            index_runs(tops_table, col, drive, usize::MAX, work).unwrap_or_default();
-        if let Some((other, _)) = index_runs(tops_table, 1 - col, check, cost, work) {
-            (runs, check, col) = (other, drive, 1 - col);
+        Plan::Semi => (semi_plan(sel, tops, work), Plan::Semi),
+    }
+}
+
+/// The hash plan: select both sides, scan the whole tops table, keep
+/// the TIDs of rows whose E1 and E2 are both selected. The reference
+/// the picked plans are tested against; [`distinct_tids`] never runs it.
+pub fn hash_plan(sel: &Selections<'_>, tops: Tops, work: &Work) -> Vec<TopologyId> {
+    let (from, to) = (sel.ids(0, work), sel.ids(1, work));
+    let rows = sel.ctx().catalog.tops(tops).rows();
+    distinct_kept(rows, work, |row| from.contains(&row.as_int(0)) && to.contains(&row.as_int(1)))
+}
+
+/// The index plan driven from side `col`: probe the tops table's index
+/// on `col` once per entity that side selects, then check the other
+/// side of each row read. While the rows read are fewer than the other
+/// side's σ would cost, each is checked with one pk probe; otherwise the
+/// other side is selected too, and then the side whose runs are shorter
+/// in total drives: it is looked up only while its runs cost less than
+/// the ones already read. Returns the sorted TIDs and the column that
+/// drove.
+pub fn index_plan(
+    sel: &Selections<'_>,
+    tops: Tops,
+    col: usize,
+    work: &Work,
+) -> (Vec<TopologyId>, usize) {
+    let table = sel.ctx().catalog.tops(tops);
+    let drive = sel.ids(col, work);
+    let (mut runs, cost) = index_runs(table, col, drive, usize::MAX, work).unwrap_or_default();
+    let (other_es, other_con) = sel.side(1 - col);
+    let run_rows = cost - drive.len();
+    if !sel.has_ids(1 - col)
+        && (run_rows as f64) < selection_estimate(sel.ctx(), other_es, other_con).0
+    {
+        let other = sel.endpoint(1 - col);
+        let rows = runs.into_iter().flatten().map(|&rid| table.row(rid));
+        return (distinct_kept(rows, work, |row| other.admits(row, work)), col);
+    }
+    let mut col = col;
+    if let Some((other, _)) = index_runs(table, 1 - col, sel.ids(1 - col, work), cost, work) {
+        (runs, col) = (other, 1 - col);
+    }
+    let check = sel.ids(1 - col, work);
+    let rows = runs.into_iter().flatten().map(|&rid| table.row(rid));
+    (distinct_kept(rows, work, |row| check.contains(&row.as_int(1 - col))), col)
+}
+
+/// The semi-join plan: pull the espair's topologies from TopInfo and
+/// stop each at its first witness row ([`SemiDgj`], the more selective
+/// endpoint probed first, a pinned one by comparing ids). No σ runs.
+pub fn semi_plan(sel: &Selections<'_>, tops: Tops, work: &Work) -> Vec<TopologyId> {
+    let catalog = sel.ctx().catalog;
+    let groups = topinfo(catalog, sel.query().scheme, sel.o.espair, tops);
+    let (first, second) = sel.probe_order();
+    let mut semi = SemiDgj::new(groups, catalog.tops(tops), 2, first, second, work.clone());
+    let mut tids = Vec::new();
+    while let Some(tid) = semi.next_group() {
+        // A row quota drops the group that exceeds it, as the budgeted
+        // drivers do.
+        work.count_row();
+        if work.interrupted() {
+            break;
         }
-        let mut out = ts_storage::FastSet::default();
-        for run in runs {
+        tids.push(tid.as_int() as TopologyId);
+    }
+    tids.sort_unstable();
+    tids
+}
+
+/// The sorted distinct TIDs of the tops `rows` that `keep` admits, one
+/// unit per row read; `keep` runs only on rows of TIDs not yet found. Each new TID counts as a result row against the
+/// row quota, and the one that exceeds it is dropped.
+fn distinct_kept<'t>(
+    rows: impl Iterator<Item = RowRef<'t>>,
+    work: &Work,
+    keep: impl Fn(RowRef<'t>) -> bool,
+) -> Vec<TopologyId> {
+    let mut tids = FastSet::default();
+    for row in rows {
+        if work.interrupted() {
+            break;
+        }
+        work.tick(1);
+        let tid = row.as_int(2) as TopologyId;
+        if !tids.contains(&tid) && keep(row) {
+            work.count_row();
             if work.interrupted() {
                 break;
             }
-            for &rid in run {
-                work.tick(1);
-                let row = tops_table.row(rid);
-                if check.contains(&row.as_int(1 - col)) {
-                    out.insert(row.as_int(2) as crate::catalog::TopologyId);
-                }
-            }
+            tids.insert(tid);
         }
-        // Hash-set order must not leak into the result: sort the ids.
-        let mut v: Vec<crate::catalog::TopologyId> = out.into_iter().collect();
-        v.sort_unstable();
-        v
-    } else if ts_exec::engine() == ts_exec::Engine::Batch {
-        // Hash plan, vectorized: the same operator shape, batch-at-a-time.
-        use ts_exec::{
-            batch_collect_all_budgeted, BatchDistinct, BatchHashJoin, BatchTableScan, BoxedBatchOp,
-        };
-        let tops_scan: BoxedBatchOp<'_> =
-            Box::new(BatchTableScan::new(tops_table, Predicate::True, work.clone()));
-        let from_scan: BoxedBatchOp<'_> =
-            Box::new(BatchTableScan::new(from_table, o.con_from.clone(), work.clone()));
-        let j1: BoxedBatchOp<'_> =
-            Box::new(BatchHashJoin::new(tops_scan, 0, from_scan, from_pk, work.clone()));
-        let to_scan: BoxedBatchOp<'_> =
-            Box::new(BatchTableScan::new(to_table, o.con_to.clone(), work.clone()));
-        let j2: BoxedBatchOp<'_> =
-            Box::new(BatchHashJoin::new(j1, 1, to_scan, to_pk, work.clone()));
-        let mut distinct = BatchDistinct::new(j2, vec![2], work.clone());
-        batch_collect_all_budgeted(&mut distinct, work)
-            .into_iter()
-            .map(|r| r.get(2).as_int() as crate::catalog::TopologyId)
-            .collect()
-    } else {
-        // Hash plan: Scan(tops) ⋈E1=pk σ(from) ⋈E2=pk σ(to), distinct TID.
-        let tops_scan: BoxedOp<'_> =
-            Box::new(TableScan::new(tops_table, Predicate::True, work.clone()));
-        let from_scan: BoxedOp<'_> =
-            Box::new(TableScan::new(from_table, o.con_from.clone(), work.clone()));
-        let j1: BoxedOp<'_> =
-            Box::new(HashJoin::new(tops_scan, 0, from_scan, from_pk, work.clone()));
-        let to_scan: BoxedOp<'_> =
-            Box::new(TableScan::new(to_table, o.con_to.clone(), work.clone()));
-        let j2: BoxedOp<'_> = Box::new(HashJoin::new(j1, 1, to_scan, to_pk, work.clone()));
-        let mut distinct = Distinct::new(j2, vec![2], work.clone());
-        collect_all_budgeted(&mut distinct, work)
-            .into_iter()
-            .map(|r| r.get(2).as_int() as crate::catalog::TopologyId)
-            .collect()
-    };
-    tids.sort_unstable();
-    tids.dedup();
-    tids
+    }
+    // Hash-set order must not leak into the result: sort the ids.
+    let mut v: Vec<TopologyId> = tids.into_iter().collect();
+    v.sort_unstable();
+    v
 }
 
 /// The non-empty rid runs of `ids` in `tops`'s index on `col`, one
 /// metered lookup per id, with their cost (one unit per lookup plus one
 /// per rid). `None` as soon as the cost exceeds `bound`.
 fn index_runs<'t>(
-    tops: &'t ts_storage::Table,
+    tops: &'t Table,
     col: usize,
-    ids: &ts_storage::FastSet<i64>,
+    ids: &FastSet<i64>,
     bound: usize,
     work: &Work,
 ) -> Option<(Vec<&'t [u32]>, usize)> {
@@ -167,7 +255,7 @@ fn index_runs<'t>(
     let mut cost = 0usize;
     for &id in ids {
         work.tick(1); // index probe
-        let run = tops.index_probe(col, &ts_storage::Value::Int(id));
+        let run = tops.index_probe(col, &Value::Int(id));
         cost += 1 + run.len();
         if cost > bound {
             return None;
@@ -186,7 +274,7 @@ mod tests {
     use crate::query::TopologyQuery;
     use ts_graph::fixtures::{figure3, DNA, PROTEIN};
     use ts_graph::{DataGraph, SchemaGraph};
-    use ts_storage::Database;
+    use ts_storage::{Database, Predicate};
 
     fn setup() -> (Database, DataGraph, SchemaGraph, crate::Catalog) {
         let (db, g, schema) = figure3();

@@ -1,15 +1,21 @@
 //! Full-Top-k-Opt and Fast-Top-k-Opt (§5.4): cost-based choice between
 //! the sort-based top-k plan and the early-termination DGJ plan.
 //!
-//! The choice is exactly the paper's: estimate the cost of the regular
-//! plan (scan + hash joins + sort + fetch-k) and the Theorem-1 expected
-//! cost of the DGJ stack, run the cheaper. The estimates consume only
-//! catalog statistics (cardinalities, predicate selectivities from
-//! `ts-storage` stats, per-topology frequencies as group cardinalities).
+//! The choice is the paper's: estimate the cost of the regular plan
+//! (full evaluation + sort + fetch-k) and the Theorem-1 expected cost of
+//! the DGJ stack, run the cheaper. The regular plan is priced by the
+//! same [`PlanCosts`] estimate `full_top::distinct_tids` picks its plan
+//! by; when that plan is the semi-join, the ET plan is the same
+//! topology walk stopped after k witnesses and is taken outright. The
+//! estimates consume only catalog statistics (cardinalities, predicate
+//! selectivities from `ts-storage` stats, per-topology frequencies as
+//! group cardinalities).
 
 use ts_optimizer::{et_stack_cost, DgjOpParams, DgjStackParams};
 
-use crate::methods::common::{entity_table, orient};
+use crate::catalog::Tops;
+use crate::methods::common::{entity_table, Selections};
+use crate::methods::full_top::{Plan, PlanCosts};
 use crate::methods::{et, topk, EvalOutcome, Method, QueryContext};
 use crate::query::TopologyQuery;
 
@@ -29,7 +35,56 @@ pub fn eval(
     variant: Variant,
     work: ts_exec::Work,
 ) -> EvalOutcome {
-    let o = orient(q);
+    let sel = Selections::new(ctx, q);
+    let tops = match variant {
+        Variant::Full => Tops::All,
+        Variant::Fast => Tops::Left,
+    };
+    // Regular plan cost: the estimate `full_top::distinct_tids` runs its
+    // cheapest plan by. When that plan is the semi-join, the ET plan is
+    // the same topology walk stopped after k witnesses: it never costs
+    // more, and is taken without pricing it.
+    let (plan, plan_cost) = PlanCosts::estimate(&sel, tops).best();
+    let (choose_et, estimates) = if plan == Plan::Semi {
+        (true, format!("regular plan is semi, est {plan_cost:.1}"))
+    } else {
+        let (et_cost, regular_cost) = price(ctx, &sel, variant, plan_cost);
+        (et_cost < regular_cost, format!("ET est {et_cost:.1} vs regular est {regular_cost:.1}"))
+    };
+    let mut out = if choose_et {
+        match variant {
+            Variant::Full => et::eval(ctx, q, et::Variant::Full, et::EtPlanKind::Idgj, work),
+            Variant::Fast => et::eval(ctx, q, et::Variant::Fast, et::EtPlanKind::Idgj, work),
+        }
+    } else {
+        match variant {
+            Variant::Full => topk::eval(ctx, q, topk::Variant::Full, work),
+            Variant::Fast => topk::eval(ctx, q, topk::Variant::Fast, work),
+        }
+    };
+    out.detail = format!(
+        "opt chose {} ({estimates}); inner: {}",
+        if choose_et { "ET" } else { "regular" },
+        out.detail
+    );
+    out.method = match variant {
+        Variant::Full => Method::FullTopKOpt,
+        Variant::Fast => Method::FastTopKOpt,
+    };
+    out
+}
+
+/// The estimated cost of the ET plan (Theorem 1) and of the regular plan
+/// whose `DISTINCT TID` part `full_top::distinct_tids` estimates at
+/// `plan_cost`, both with the TopInfo walk or sort over the espair's `m`
+/// unpruned topologies.
+fn price(
+    ctx: &QueryContext<'_>,
+    sel: &Selections<'_>,
+    variant: Variant,
+    plan_cost: f64,
+) -> (f64, f64) {
+    let o = &sel.o;
     let (from_table, _) = entity_table(ctx, o.espair.from);
     let (to_table, _) = entity_table(ctx, o.espair.to);
 
@@ -39,7 +94,7 @@ pub fn eval(
 
     let skip_pruned = variant == Variant::Fast;
     // Group cardinalities in score order: LeftTops rows per topology.
-    let ranked = ctx.catalog.ranked(q.scheme, o.espair);
+    let ranked = ctx.catalog.ranked(sel.query().scheme, o.espair);
     let mut groups: Vec<f64> = Vec::with_capacity(ranked.len());
     let mut pruned = 0usize;
     for &tid in ranked {
@@ -50,7 +105,6 @@ pub fn eval(
         }
     }
     let m = groups.len() as f64;
-    let total_rows: f64 = groups.iter().sum();
 
     // ET cost: Theorem 1 over the two entity joins, plus streaming the
     // TopInfo rows. Probe costs are calibrated to the engine: each tuple
@@ -64,57 +118,16 @@ pub fn eval(
         ],
         groups,
     };
-    let et_cost = et_stack_cost(&stack, q.k) + m;
+    let et_cost = et_stack_cost(&stack, sel.query().k) + m;
 
-    // Regular plan cost: the better of the hash plan (scan tops table +
-    // both entity selections) and an E1-driven index plan (selected E1
-    // entities probe the tops table's E1 index, after scanning both
-    // entity tables). This is coarser than `full_top::distinct_tids`,
-    // which also costs the E2-driven index plan and answers a pk pin
-    // with one probe; the model is kept as calibrated (ROADMAP).
-    let tops_table = match variant {
-        Variant::Full => &ctx.catalog.alltops,
-        Variant::Fast => &ctx.catalog.lefttops,
-    };
-    let tops_rows = tops_table.len() as f64;
-    let distinct_e1 =
-        tops_table.stats().map(|s| s.distinct(0).max(1) as f64).unwrap_or(tops_rows.max(1.0));
-    let scan_sides = from_table.len() as f64 + to_table.len() as f64;
-    let hash_cost = tops_rows + scan_sides + total_rows * rho_from * rho_to;
-    let index_cost =
-        scan_sides + rho_from * from_table.len() as f64 * (1.0 + tops_rows / distinct_e1);
-    let mut regular_cost = hash_cost.min(index_cost) + m;
+    let mut regular_cost = plan_cost + m;
     if variant == Variant::Fast {
         // Gated pruned checks: each pruned topology may walk the selected
         // from-side, but the first-witness early exit usually stops far
         // sooner (factor 0.25, calibrated against the engine).
         regular_cost += 0.25 * pruned as f64 * from_table.len() as f64 * rho_from;
     }
-
-    let choose_et = et_cost < regular_cost;
-    let mut out = if choose_et {
-        match variant {
-            Variant::Full => et::eval(ctx, q, et::Variant::Full, et::EtPlanKind::Idgj, work),
-            Variant::Fast => et::eval(ctx, q, et::Variant::Fast, et::EtPlanKind::Idgj, work),
-        }
-    } else {
-        match variant {
-            Variant::Full => topk::eval(ctx, q, topk::Variant::Full, work),
-            Variant::Fast => topk::eval(ctx, q, topk::Variant::Fast, work),
-        }
-    };
-    out.detail = format!(
-        "opt chose {} (ET est {:.1} vs regular est {:.1}); inner: {}",
-        if choose_et { "ET" } else { "regular" },
-        et_cost,
-        regular_cost,
-        out.detail
-    );
-    out.method = match variant {
-        Variant::Full => Method::FullTopKOpt,
-        Variant::Fast => Method::FastTopKOpt,
-    };
-    out
+    (et_cost, regular_cost)
 }
 
 #[cfg(test)]

@@ -5,10 +5,9 @@
 use std::time::Instant;
 
 use ts_exec::Work;
-use ts_storage::FastSet;
 
-use crate::catalog::TopologyId;
-use crate::methods::common::{online_path_check, orient, selected_ids, Oriented};
+use crate::catalog::{TopologyId, Tops};
+use crate::methods::common::{online_path_check, Selections};
 use crate::methods::{full_top, EvalOutcome, Method, QueryContext};
 use crate::query::TopologyQuery;
 
@@ -31,15 +30,15 @@ pub fn eval(
     // lint: allow(nondeterministic-source): wall-clock timing statistic only;
     // it lands in the outcome's millis field and never reaches catalog bytes
     let start = Instant::now();
-    let o = orient(q);
+    let sel = Selections::new(ctx, q);
 
-    let table = match variant {
-        Variant::Full => &ctx.catalog.alltops,
-        Variant::Fast => &ctx.catalog.lefttops,
-    };
     // SQL4: evaluate the (un)pruned part fully, then order by score and
     // fetch the first k.
-    let tids = full_top::distinct_tids(ctx, q, table, &work);
+    let tops = match variant {
+        Variant::Full => Tops::All,
+        Variant::Fast => Tops::Left,
+    };
+    let (tids, plan) = full_top::distinct_tids(&sel, tops, &work);
     let mut results: Vec<(TopologyId, f64)> =
         tids.into_iter().map(|t| (t, ctx.catalog.meta(t).scores[q.scheme.index()])).collect();
     sort_desc(&mut results);
@@ -47,7 +46,7 @@ pub fn eval(
 
     let mut gated = 0usize;
     if variant == Variant::Fast {
-        gated = gate_pruned(ctx, q, &o, &mut results, &work);
+        gated = gate_pruned(&sel, &mut results, &work);
     }
 
     EvalOutcome {
@@ -59,10 +58,10 @@ pub fn eval(
         work: work.get(),
         wall_ms: start.elapsed().as_secs_f64() * 1e3,
         detail: match variant {
-            Variant::Full => "full eval + sort + fetch-k over AllTops".into(),
-            Variant::Fast => {
-                format!("full eval + sort + fetch-k over LeftTops; {gated} gated pruned checks")
-            }
+            Variant::Full => format!("full eval ({plan} plan) + sort + fetch-k over AllTops"),
+            Variant::Fast => format!(
+                "full eval ({plan} plan) + sort + fetch-k over LeftTops; {gated} gated pruned checks"
+            ),
         },
         exhausted: work.exhausted(),
     }
@@ -77,14 +76,15 @@ pub(crate) fn sort_desc(v: &mut [(TopologyId, f64)]) {
 /// could still enter the top-k — fewer than k results so far, or a score
 /// at or above the current k-th (ties must be checked so that the final
 /// deterministic (score desc, id asc) order matches the non-pruned
-/// methods). Returns the number of checks actually run.
+/// methods). The checks read `sel`'s σs, selecting a side only if a
+/// check needs it and no earlier step did. Returns the number of checks
+/// actually run.
 pub(crate) fn gate_pruned(
-    ctx: &QueryContext<'_>,
-    q: &TopologyQuery,
-    o: &Oriented<'_>,
+    sel: &Selections<'_>,
     results: &mut Vec<(TopologyId, f64)>,
     work: &Work,
 ) -> usize {
+    let (ctx, q) = (sel.ctx(), sel.query());
     let kth_score = if results.len() >= q.k {
         results.last().map(|&(_, s)| s).unwrap_or(f64::NEG_INFINITY)
     } else {
@@ -95,7 +95,7 @@ pub(crate) fn gate_pruned(
     let scheme = q.scheme.index();
     let candidates: Vec<(TopologyId, f64)> = ctx
         .catalog
-        .ranked(q.scheme, o.espair)
+        .ranked(q.scheme, sel.o.espair)
         .iter()
         .map(|&tid| (tid, ctx.catalog.meta(tid).scores[scheme]))
         .take_while(|&(_, s)| s >= kth_score)
@@ -104,15 +104,14 @@ pub(crate) fn gate_pruned(
     if candidates.is_empty() {
         return 0;
     }
-    let a_ids: FastSet<i64> = selected_ids(ctx, o.espair.from, o.con_from, work);
-    let b_ids: FastSet<i64> = selected_ids(ctx, o.espair.to, o.con_to, work);
+    let (a_ids, b_ids) = (sel.ids(0, work), sel.ids(1, work));
     let mut checks = 0;
     for (tid, score) in candidates {
         if work.interrupted() {
             break;
         }
         checks += 1;
-        if online_path_check(ctx, tid, &a_ids, &b_ids, work) {
+        if online_path_check(ctx, tid, a_ids, b_ids, work) {
             results.push((tid, score));
         }
     }

@@ -135,6 +135,7 @@ pub fn prune_catalog(catalog: &mut Catalog, opts: PruneOptions) -> PruneReport {
     };
     catalog.lefttops = lefttops;
     catalog.excptops = excptops;
+    catalog.summarize_runs();
     report
 }
 

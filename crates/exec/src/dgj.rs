@@ -24,7 +24,7 @@
 //! joined tuples.
 
 use ts_storage::faults::{self, sites, FireAction};
-use ts_storage::{FastMap, Predicate, Row, RowRef, Table, Value};
+use ts_storage::{FastMap, Predicate, Row, RowId, RowRef, Table, Value};
 
 use crate::batch::{Batch, BatchOperator, BoxedBatchOp};
 use crate::join::probe_inner_columnwise;
@@ -351,14 +351,45 @@ pub struct Endpoint<'a> {
 }
 
 impl Endpoint<'_> {
-    /// One probe: does the entity `tops_row` names exist and satisfy the
-    /// predicate? A pinned endpoint first compares the id with its pin.
-    fn admits(&self, tops_row: RowRef<'_>, work: &Work) -> bool {
-        work.tick(1);
-        if self.pin.is_some_and(|id| tops_row.as_int(self.col) != id) {
-            return false;
+    /// One probe (one `Work` unit): does the entity `tops_row` names
+    /// exist and satisfy the predicate? A pinned endpoint first compares
+    /// the id with its pin.
+    pub fn admits(&self, tops_row: RowRef<'_>, work: &Work) -> bool {
+        self.probe(tops_row, work).is_some_and(|rid| self.pred.eval_ref(self.table.row(rid)))
+    }
+
+    /// [`Endpoint::admits`] remembering each entity's predicate verdict
+    /// in `memo`, indexed by entity row id (0 = not evaluated yet, 1 =
+    /// passes, 2 = fails), so an entity many tops rows name is evaluated
+    /// once. Same `Work`.
+    fn admits_memo(&self, tops_row: RowRef<'_>, work: &Work, memo: &mut Vec<u8>) -> bool {
+        let Some(rid) = self.probe(tops_row, work) else { return false };
+        if matches!(self.pred, Predicate::True) {
+            return true;
         }
-        self.table.by_pk(&tops_row.get(self.col)).is_some_and(|r| self.pred.eval_ref(r))
+        if self.pin.is_some() {
+            // Only the pinned entity gets past the probe: nothing to remember.
+            return self.pred.eval_ref(self.table.row(rid));
+        }
+        if memo.is_empty() {
+            memo.resize(self.table.len(), 0);
+        }
+        let verdict = &mut memo[rid as usize];
+        if *verdict == 0 {
+            *verdict = if self.pred.eval_ref(self.table.row(rid)) { 1 } else { 2 };
+        }
+        *verdict == 1
+    }
+
+    /// The pk probe (one `Work` unit): the row id of the entity
+    /// `tops_row` names, if it exists and matches the pin.
+    fn probe(&self, tops_row: RowRef<'_>, work: &Work) -> Option<RowId> {
+        work.tick(1);
+        let id = tops_row.as_int(self.col);
+        if self.pin.is_some_and(|pin| pin != id) {
+            return None;
+        }
+        self.table.rowid_by_pk(&Value::Int(id))
     }
 }
 
@@ -369,11 +400,13 @@ impl Endpoint<'_> {
 /// For each group id pulled from `groups` (TopInfo in score order) it
 /// walks the group's borrowed rid run in the tops table's index on
 /// `group_col`; for each tops row it probes the `first` endpoint, then
-/// the `second`, and evaluates their predicates on the borrowed rows.
-/// Callers pass the more selective endpoint first, so most rejected rows
-/// cost one probe. The first row passing both is the group's witness:
-/// the operator emits the one-column row `[group]` and moves on, so it
-/// never examines a row past the witness and builds no joined tuples.
+/// the `second`, and evaluates their predicates on the borrowed rows,
+/// remembering each unpinned entity's verdict so an entity many rows
+/// name is evaluated once. Callers pass the more selective endpoint
+/// first, so most rejected rows cost one probe. The first row passing
+/// both is the group's witness: the operator emits the one-column row
+/// `[group]` and moves on, so it never examines a row past the witness
+/// and builds no joined tuples.
 ///
 /// `Work`: one unit per group pulled, one per tops row examined, one per
 /// endpoint probe. Each emitted row is a whole group, so
@@ -385,6 +418,8 @@ pub struct SemiDgj<'a, I> {
     group_col: usize,
     first: Endpoint<'a>,
     second: Endpoint<'a>,
+    /// Predicate verdicts of `first`'s and `second`'s entities.
+    memo: [Vec<u8>; 2],
     work: Work,
 }
 
@@ -399,12 +434,16 @@ impl<'a, I: Iterator<Item = Value> + Clone> SemiDgj<'a, I> {
         second: Endpoint<'a>,
         work: Work,
     ) -> Self {
-        SemiDgj { start: groups.clone(), groups, tops, group_col, first, second, work }
+        let memo = [Vec::new(), Vec::new()];
+        SemiDgj { start: groups.clone(), groups, tops, group_col, first, second, memo, work }
     }
 }
 
-impl<I: Iterator<Item = Value> + Clone> Operator for SemiDgj<'_, I> {
-    fn next(&mut self) -> Option<Row> {
+impl<I: Iterator<Item = Value> + Clone> SemiDgj<'_, I> {
+    /// The next group with a witness row, as its bare group value:
+    /// [`Operator::next`] without the one-column row around it, for a
+    /// consumer that drains every group.
+    pub fn next_group(&mut self) -> Option<Value> {
         loop {
             if self.work.interrupted() {
                 return None;
@@ -421,11 +460,20 @@ impl<I: Iterator<Item = Value> + Clone> Operator for SemiDgj<'_, I> {
                 }
                 self.work.tick(1);
                 let r = self.tops.row(rid);
-                if self.first.admits(r, &self.work) && self.second.admits(r, &self.work) {
-                    return Some(Row::new(vec![group]));
+                let [first_memo, second_memo] = &mut self.memo;
+                if self.first.admits_memo(r, &self.work, first_memo)
+                    && self.second.admits_memo(r, &self.work, second_memo)
+                {
+                    return Some(group);
                 }
             }
         }
+    }
+}
+
+impl<I: Iterator<Item = Value> + Clone> Operator for SemiDgj<'_, I> {
+    fn next(&mut self) -> Option<Row> {
+        self.next_group().map(|group| Row::new(vec![group]))
     }
 
     fn rewind(&mut self) {

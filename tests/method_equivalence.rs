@@ -532,3 +532,81 @@ fn nine_methods_agree_across_seeds_without_pruning() {
         }
     }
 }
+
+#[test]
+fn regular_plans_agree_and_unconstrained_cells_pick_semi() {
+    // Every physical plan of the regular methods' DISTINCT TID, called
+    // directly (no runtime switch), on both tops tables: the grid, then
+    // each harness pair with one side pinned to its first entity, a
+    // seeded one and an id that does not exist. All plans must return
+    // the same tids; the semi-join's work, and the regular methods',
+    // must not depend on the engine; and without predicates the
+    // estimate must pick the semi plan.
+    use ts_core::methods::common::Selections;
+    use ts_core::methods::full_top::{hash_plan, index_plan, semi_plan, Plan, PlanCosts};
+    use ts_core::{Tops, Work};
+    use ts_exec::{set_engine, Engine};
+    let h = harness(1, 0.12, 2, 3);
+    let ids = &h.biozon.ids;
+    let db = &h.biozon.db;
+    let ctx = QueryContext { db, graph: &h.graph, schema: &h.schema, catalog: &h.catalog };
+    let mut queries = grid(ids);
+    let mut rng = Rng(0x5EED_0014);
+    for (es_a, es_b) in espairs(ids) {
+        for (pinned_es, other_es) in [(es_a, es_b), (es_b, es_a)] {
+            let table = db.table(db.entity_set(pinned_es as usize).table);
+            let pk = table.schema().primary_key.expect("entity sets have primary keys");
+            let entities: Vec<i64> = table.rows().map(|r| r.as_int(pk)).collect();
+            let missing = entities.iter().max().expect("non-empty") + 1;
+            for id in [entities[0], entities[rng.below(entities.len())], missing] {
+                let other = random_predicate(other_es, ids, &mut rng);
+                queries.push(TopologyQuery::new(
+                    pinned_es,
+                    Predicate::eq(pk, id),
+                    other_es,
+                    other,
+                    2,
+                ));
+            }
+        }
+    }
+    let (mut nonempty, mut unconstrained) = (0, 0);
+    for (i, q) in queries.iter().enumerate() {
+        let sel = || Selections::new(&ctx, q);
+        for tops in [Tops::All, Tops::Left] {
+            let label = format!("query {i} over {tops:?}");
+            let hash = hash_plan(&sel(), tops, &Work::new());
+            nonempty += usize::from(!hash.is_empty());
+            for col in [0, 1] {
+                let (tids, _) = index_plan(&sel(), tops, col, &Work::new());
+                assert_eq!(tids, hash, "{label}: index plan from column {col} vs hash plan");
+            }
+            let work = [Engine::Batch, Engine::Tuple].map(|engine| {
+                set_engine(engine);
+                let work = Work::new();
+                assert_eq!(semi_plan(&sel(), tops, &work), hash, "{label}: semi ({engine:?})");
+                work.get()
+            });
+            set_engine(Engine::Batch);
+            assert_eq!(work[0], work[1], "{label}: semi plan work, batch vs tuple");
+            if tops == Tops::All {
+                for m in [Method::FullTop, Method::FastTop, Method::FullTopK, Method::FastTopK] {
+                    let work = [Engine::Batch, Engine::Tuple].map(|engine| {
+                        set_engine(engine);
+                        m.eval(&ctx, q).work
+                    });
+                    set_engine(Engine::Batch);
+                    assert_eq!(work[0], work[1], "query {i} {}: batch vs tuple work", m.name());
+                }
+            }
+            if q.con1 == Predicate::True && q.con2 == Predicate::True {
+                unconstrained += 1;
+                let (plan, _) = PlanCosts::estimate(&sel(), tops).best();
+                assert_eq!(plan, Plan::Semi, "{label}: unconstrained cell");
+            }
+        }
+    }
+    assert_eq!(queries.len(), 60 + 36);
+    assert!(unconstrained > 0, "the grid has unconstrained cells");
+    assert!(nonempty >= queries.len() / 2, "only {nonempty} non-empty plan results");
+}
